@@ -189,13 +189,6 @@ class PairedDataset:
         return self.xt.shape[1]
 
 
-def _edges_array(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    return arr.reshape(-1, 2)
-
-
 def _derangement(rng: np.random.Generator, idx: np.ndarray) -> np.ndarray:
     """Random permutation of idx with no fixed point (idx has length != 1)."""
     if idx.size == 0:

@@ -22,6 +22,7 @@ from .errors import InvalidInput, NonFinite
 PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
 CN_RULES = ("n(n-1)", "n")
+_BLOCK_ROWS = 64  # rows per block when unpaired_weights streams its table
 
 
 @dataclass(frozen=True)
@@ -174,88 +175,78 @@ def _data_arrays(data):
     raise InvalidInput("data must expose x and xt arrays")
 
 
-def _shifted_args(sims: np.ndarray, nu: float):
-    """Row-anchored and column-anchored shifted similarity tables.
+def _log_sum_exp(z: np.ndarray, axis: int, log1p: bool = False,
+                 normalize: bool = False) -> np.ndarray:
+    """Log-sum-exp L along axis (log(1 + sum exp z) with log1p), keeping the axis.
 
-    Row table entry (i, j) is s_ij - nu * s_ii, column table entry (i, j)
-    is s_ji - nu * s_ii.
+    One exponentiation per entry: z becomes exp(z - m), m the maximum along
+    axis, and with normalize is scaled by exp(m - L) <= 1 to exp(z - L).
     """
-    diag = np.diag(sims)
-    return sims - nu * diag[:, None], sims.T - nu * diag[:, None]
+    m = np.max(z, axis=axis, keepdims=True)
+    z -= m
+    np.exp(z, out=z)
+    lse = m + np.log(np.sum(z, axis=axis, keepdims=True))
+    if log1p:
+        lse = np.logaddexp(0.0, lse)
+    if normalize:
+        z *= np.exp(m - lse)
+    return lse
 
 
-def _diag_weights(n: int, epsilon: float) -> np.ndarray:
-    w = np.ones((n, n))
-    np.fill_diagonal(w, epsilon)
-    return w
+def _aggregate(spec: LossSpec, z: np.ndarray, axis: int, want_alpha: bool = False):
+    """phi of each epsilon-weighted psi aggregate along axis, and the alpha table.
 
-
-def _alpha_one(spec: LossSpec, args: np.ndarray) -> np.ndarray:
-    """One alpha table: epsilon-weighted phi'(aggregate) * psi'(entry) per row."""
-    n = args.shape[0]
-    w = _diag_weights(n, spec.epsilon)
+    z is square with entry (i, j) = s_ij - nu * s_ii for axis=1 and
+    s_ij - nu * s_jj for axis=0. It is used as scratch; with want_alpha it
+    ends up holding epsilon-weighted phi'(aggregate) * psi'(entry).
+    """
+    diag = np.einsum("ii->i", z)  # writable view of the diagonal
     if spec.psi == "exp":
-        a = args / spec.tau
-        if spec.phi in ("log", "log1p"):
-            logw = np.full((n, n), 0.0)
-            diag_logw = np.log(spec.epsilon) if spec.epsilon > 0 else -np.inf
-            np.fill_diagonal(logw, diag_logw)
-            z = a + logw
-            m = np.max(z, axis=1, keepdims=True)
-            lse = m + np.log(np.sum(np.exp(z - m), axis=1, keepdims=True))
-            if spec.phi == "log1p":
-                lse = np.logaddexp(0.0, lse)
-            return np.exp(z - lse)
-        return w * np.exp(a) / spec.tau
+        z /= spec.tau
+        with np.errstate(divide="ignore"):
+            diag += np.log(spec.epsilon)
+        if spec.phi != "identity":
+            lse = _log_sum_exp(z, axis, log1p=spec.phi == "log1p", normalize=want_alpha)
+            return spec.tau * lse.ravel(), z
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        return np.sum(z, axis=axis), (z / spec.tau if want_alpha else z)
     # psi identity: psi' = 1 and the aggregate is a plain weighted sum
+    diag *= spec.epsilon
+    t = np.sum(z, axis=axis, keepdims=True)
     if spec.phi == "identity":
-        return w.copy()
-    t = np.sum(w * args, axis=1, keepdims=True)
-    if spec.phi == "log":
-        if np.any(t <= 0):
-            raise NonFinite("log of a nonpositive aggregate")
-        return w * (spec.tau / t)
-    if np.any(1.0 + t <= 0):
-        raise NonFinite("log1p of an aggregate at or below -1")
-    return w * (spec.tau / (1.0 + t))
+        dphi = 1.0
+    else:
+        arg = t if spec.phi == "log" else 1.0 + t
+        if want_alpha and np.any(arg <= 0):
+            raise NonFinite("log of a nonpositive aggregate" if spec.phi == "log"
+                            else "log1p of an aggregate at or below -1")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dphi = spec.tau / arg
+            t = spec.tau * (np.log(t) if spec.phi == "log" else np.log1p(t))
+    if want_alpha:
+        z[...] = dphi
+        diag *= spec.epsilon
+    return t.ravel(), z
+
+
+def _anchored(spec: LossSpec, sims: np.ndarray, want_alpha: bool = False):
+    """_aggregate of the row-anchored and the column-anchored tables; sims is overwritten."""
+    nu_diag = spec.nu * np.diag(sims)
+    row = _aggregate(spec, sims - nu_diag[:, None], 1, want_alpha)
+    sims -= nu_diag[None, :]
+    return row, _aggregate(spec, sims, 0, want_alpha)
 
 
 def _alpha_tables(spec: LossSpec, sims: np.ndarray):
-    """Row-anchored and column-anchored alpha tables at the given similarities."""
+    """alpha and alpha-bar transposed at the given similarities, which are overwritten."""
     sims = as_matrix(sims, "sims")
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput(f"paired similarities must be square, got {sims.shape}")
     if sims.shape[0] < 2:
         raise InvalidInput("need at least 2 samples")
-    row_args, col_args = _shifted_args(sims, spec.nu)
-    return _alpha_one(spec, row_args), _alpha_one(spec, col_args)
-
-
-def _phi_totals(spec: LossSpec, args: np.ndarray) -> np.ndarray:
-    """phi of the epsilon-weighted psi aggregate, one value per row."""
-    n = args.shape[0]
-    w = _diag_weights(n, spec.epsilon)
-    if spec.psi == "exp":
-        a = args / spec.tau
-        if spec.phi in ("log", "log1p"):
-            logw = np.full((n, n), 0.0)
-            diag_logw = np.log(spec.epsilon) if spec.epsilon > 0 else -np.inf
-            np.fill_diagonal(logw, diag_logw)
-            z = a + logw
-            m = np.max(z, axis=1)
-            lse = m + np.log(np.sum(np.exp(z - m[:, None]), axis=1))
-            if spec.phi == "log1p":
-                lse = np.logaddexp(0.0, lse)
-            return spec.tau * lse
-        with np.errstate(over="ignore"):
-            return np.sum(w * np.exp(a), axis=1)
-    t = np.sum(w * args, axis=1)
-    if spec.phi == "identity":
-        return t
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if spec.phi == "log":
-            return spec.tau * np.log(t)
-        return spec.tau * np.log1p(t)
+    (_, alpha), (_, alpha_bar_t) = _anchored(spec, sims, want_alpha=True)
+    return alpha, alpha_bar_t
 
 
 def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
@@ -269,10 +260,9 @@ def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
     sims = similarity_matrix(enc, x, xt)
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput("paired loss needs equally many samples per modality")
-    n = sims.shape[0]
-    cn = c_n_value(spec.cn, n)
-    row_args, col_args = _shifted_args(sims, spec.nu)
-    contrast = (np.sum(_phi_totals(spec, row_args)) + np.sum(_phi_totals(spec, col_args)))
+    cn = c_n_value(spec.cn, sims.shape[0])
+    (row_totals, _), (col_totals, _) = _anchored(spec, sims)
+    contrast = np.sum(row_totals) + np.sum(col_totals)
     ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
     return float(contrast / (2.0 * cn) + ridge)
 
@@ -298,26 +288,16 @@ class ContrastiveWeights:
     nu: float | None = None
 
 
-def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    e = np.exp(a - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
     """Beta weight tables of the loss at the given similarity matrix."""
-    sims = as_matrix(sims, "sims")
-    alpha, alpha_bar = _alpha_tables(spec, sims)
-    row_tot = np.sum(alpha, axis=1)
-    bar_tot = np.sum(alpha_bar, axis=1)
-    diag_a = np.diag(alpha)
-    diag_b = np.diag(alpha_bar)
-    beta_diag = spec.nu * (row_tot + bar_tot) / 2.0 - (diag_a + diag_b) / 2.0
-    beta_off = (alpha + alpha_bar.T) / 2.0
+    alpha, alpha_bar_t = _alpha_tables(spec, np.array(sims, dtype=np.float64))
+    tot = np.sum(alpha, axis=1) + np.sum(alpha_bar_t, axis=0)
+    beta_diag = spec.nu * tot / 2.0 - (np.diag(alpha) + np.diag(alpha_bar_t)) / 2.0
+    beta_off = (alpha + alpha_bar_t) / 2.0
     np.fill_diagonal(beta_off, 0.0)
     return ContrastiveWeights(
         beta_diag=beta_diag, beta_off=beta_off, mode="paired",
-        alpha=alpha, alpha_bar=alpha_bar,
+        alpha=alpha, alpha_bar=alpha_bar_t.T,
     )
 
 
@@ -339,8 +319,24 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> ContrastiveWeights:
     if (np.any(edges[:, 0] < 0) or np.any(edges[:, 0] >= sims.shape[0])
             or np.any(edges[:, 1] < 0) or np.any(edges[:, 1] >= sims.shape[1])):
         raise InvalidInput("pair indices out of range")
-    a = sims / tau
-    beta = (_softmax(a, axis=1) + _softmax(a, axis=0)) / 2.0
+    # Two passes over row blocks: the first parks exp(a - column max) in
+    # beta and sums the columns, the second adds each block's row softmax.
+    col_max = np.max(sims, axis=0) / tau
+    col_sum = np.zeros(sims.shape[1])
+    beta = np.empty(sims.shape)
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, sims.shape[0], _BLOCK_ROWS)]
+    for rows in blocks:
+        block = np.divide(sims[rows], tau, out=beta[rows])
+        block -= col_max
+        col_sum += np.sum(np.exp(block, out=block), axis=0)
+    half_col = 0.5 / col_sum
+    for rows in blocks:
+        row_part = sims[rows] / tau
+        _log_sum_exp(row_part, 1, normalize=True)
+        row_part *= 0.5
+        block = beta[rows]
+        block *= half_col
+        block += row_part
     return ContrastiveWeights(
         beta_diag=np.zeros(sims.shape[0]), beta_off=beta, mode="unpaired",
         edges=edges, nu=float(nu),
@@ -390,14 +386,12 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     sims = similarity_matrix(enc, x, xt)
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput("paired loss needs equally many samples per modality")
-    n = sims.shape[0]
-    cn = c_n_value(spec.cn, n)
-    alpha, alpha_bar = _alpha_tables(spec, sims)
-    w = (alpha + alpha_bar.T) / (2.0 * cn)
-    row_tot = np.sum(alpha, axis=1)
-    bar_tot = np.sum(alpha_bar, axis=1)
-    diag_w = (np.diag(alpha) + np.diag(alpha_bar)
-              - spec.nu * (row_tot + bar_tot)) / (2.0 * cn)
+    cn = c_n_value(spec.cn, sims.shape[0])
+    w, alpha_bar_t = _alpha_tables(spec, sims)
+    tot = np.sum(w, axis=1) + np.sum(alpha_bar_t, axis=0)
+    diag_w = (np.diag(w) + np.diag(alpha_bar_t) - spec.nu * tot) / (2.0 * cn)
+    w += alpha_bar_t
+    w /= 2.0 * cn
     np.fill_diagonal(w, diag_w)
     p = x.T @ (w @ xt)
     grad_g1 = enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1

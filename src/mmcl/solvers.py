@@ -25,6 +25,8 @@ from .losses import (
     unpaired_weights,
 )
 
+_ARGMAX_BLOCK_ROWS = 32  # rows per block of the column argmax in estimate_edges
+
 
 @dataclass
 class FitResult:
@@ -224,17 +226,28 @@ def estimate_edges(sims) -> EdgeEstimate:
     n = sims.shape[0]
     if n < 1:
         raise InvalidInput("similarity matrix is empty")
-    row_best = np.argmax(sims, axis=1)
-    col_best = np.argmax(sims, axis=0)
-    pool = {(int(i), int(row_best[i])) for i in range(n)}
-    pool.update((int(col_best[j]), int(j)) for j in range(n))
-    ranked = sorted(pool, key=lambda ij: (-sims[ij], ij[0], ij[1]))
-    take = min(n, len(ranked))
-    kept = ranked[:take]
-    threshold = float(sims[kept[-1]])
-    edges = np.array(sorted(kept), dtype=np.int64).reshape(-1, 2)
+    # np.argmax(sims, axis=0), as a running maximum over row blocks that
+    # moves only on a strictly larger value, so ties keep the first row.
+    col_max = np.full(n, -np.inf)
+    col_best = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _ARGMAX_BLOCK_ROWS):
+        block = sims[lo:lo + _ARGMAX_BLOCK_ROWS]
+        block_max = np.max(block, axis=0)
+        cols = np.flatnonzero(block_max > col_max)
+        col_max[cols] = block_max[cols]
+        col_best[cols] = lo + np.argmax(block[:, cols] == block_max[cols], axis=0)
+    # Pool pairs as codes i * n + j; ascending codes are lexicographic pairs.
+    items = np.arange(n, dtype=np.int64)
+    codes = np.unique(np.concatenate([items * n + np.argmax(sims, axis=1),
+                                      col_best * n + items]))
+    rows, cols = np.divmod(codes, n)
+    scores = sims[rows, cols]
+    ranked = np.lexsort((cols, rows, -scores))[:n]
+    threshold = float(scores[ranked[-1]])
+    kept = np.sort(ranked)
+    edges = np.stack([rows[kept], cols[kept]], axis=1)
     return EdgeEstimate(edges=edges, threshold=threshold,
-                        pool_size=len(pool), short_pool=len(pool) < n)
+                        pool_size=codes.size, short_pool=codes.size < n)
 
 
 def matching_accuracy(enc: EncoderPair, data) -> float:

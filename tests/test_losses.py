@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmcl import losses
-from mmcl.errors import InvalidInput
+from mmcl.errors import InvalidInput, NonFinite
 from mmcl.losses import ContrastiveWeights, EncoderPair, LossSpec
 
 
@@ -52,6 +52,57 @@ def loss_by_loops(spec, enc, x, xt):
         total += phi(agg)
     ridge = 0.5 * spec.rho * np.sum((enc.g1.T @ enc.g2) ** 2)
     return total / (2.0 * cn) + ridge
+
+
+def all_transform_specs(nu=1.0):
+    """One spec per phi x psi x epsilon in {0, 0.5, 1}."""
+    return [LossSpec(phi=phi, psi=psi, epsilon=eps, nu=nu, tau=0.7, cn="n", rho=0.5)
+            for phi in losses.PHI_NAMES for psi in losses.PSI_NAMES
+            for eps in (0.0, 0.5, 1.0)]
+
+
+def positive_instance(seed, n=5, d=3):
+    """Unit-norm paired rows scored by g1 = I, g2 = -I.
+
+    Every shifted similarity s_ij - s_ii = 1 - <x_i, x_j> is positive off
+    the diagonal and zero on it (nu = 1), so every aggregate of the
+    identity-psi losses stays inside the domain of log and log1p.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x, x.copy(), EncoderPair(g1=np.eye(d), g2=-np.eye(d))
+
+
+def central_differences(spec, enc, data, h=1e-6):
+    """Central-difference gradients of loss_value in g1 and g2."""
+    out = []
+    for which in ("g1", "g2"):
+        mat = getattr(enc, which)
+        fd = np.zeros_like(mat)
+        for idx in np.ndindex(mat.shape):
+            bump = np.zeros_like(mat)
+            bump[idx] = h
+            plus = EncoderPair(
+                g1=enc.g1 + (bump if which == "g1" else 0.0),
+                g2=enc.g2 + (bump if which == "g2" else 0.0))
+            minus = EncoderPair(
+                g1=enc.g1 - (bump if which == "g1" else 0.0),
+                g2=enc.g2 - (bump if which == "g2" else 0.0))
+            fd[idx] = (losses.loss_value(spec, plus, data)
+                       - losses.loss_value(spec, minus, data)) / (2.0 * h)
+        out.append(fd)
+    return out
+
+
+def two_softmax_table(sims, tau):
+    """Dense average of the row softmax and the column softmax of sims / tau."""
+    a = sims / tau
+    rows = np.exp(a - a.max(axis=1, keepdims=True))
+    rows /= rows.sum(axis=1, keepdims=True)
+    cols = np.exp(a - a.max(axis=0, keepdims=True))
+    cols /= cols.sum(axis=0, keepdims=True)
+    return (rows + cols) / 2.0
 
 
 class TestLossSpec:
@@ -166,6 +217,41 @@ class TestLossValue:
                      LossSpec.infonce(tau=0.4, smoothed=True)):
             assert losses.loss_value(spec, enc, (x, xt)) == pytest.approx(
                 loss_by_loops(spec, enc, x, xt), abs=1e-12)
+        # Every phi x psi x epsilon: exp-psi losses on generic data at
+        # nu = 1.5, and all of them where the aggregates stay positive.
+        for spec in all_transform_specs(nu=1.5):
+            if spec.psi == "exp":
+                assert losses.loss_value(spec, enc, (x, xt)) == pytest.approx(
+                    loss_by_loops(spec, enc, x, xt), rel=1e-12, abs=1e-12)
+        px, pxt, penc = positive_instance(3)
+        for spec in all_transform_specs():
+            expected = loss_by_loops(spec, penc, px, pxt)
+            assert np.isfinite(expected)
+            assert losses.loss_value(spec, penc, (px, pxt)) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12)
+
+    def test_out_of_domain_values_are_not_finite(self):
+        # g2 = +I flips positive_instance: every identity-psi aggregate is
+        # negative, below -1 here, so log and log1p leave their domain.
+        x, xt, enc = positive_instance(17, n=8)
+        flipped = EncoderPair(g1=enc.g1, g2=-enc.g2)
+        for spec in all_transform_specs():
+            if spec.psi == "identity" and spec.phi != "identity":
+                assert np.isnan(losses.loss_value(spec, flipped, (x, xt)))
+        # All-zero data: every identity-psi aggregate is exactly 0.
+        zero = (np.zeros((4, 3)), np.zeros((4, 3)))
+        for spec in all_transform_specs():
+            value = losses.loss_value(spec, enc, zero)
+            if spec.psi == "identity" and spec.phi == "log":
+                assert value == -np.inf
+            else:
+                assert np.isfinite(value)
+        # An exp-psi aggregate that overflows makes the identity-phi loss inf.
+        big = (100.0 * np.eye(3), 100.0 * np.eye(3))
+        for eps in (0.0, 0.5, 1.0):
+            spec = LossSpec(phi="identity", psi="exp", epsilon=eps, nu=1.0, tau=0.01)
+            neg = EncoderPair(g1=np.eye(3), g2=-np.eye(3))
+            assert losses.loss_value(spec, neg, big) == np.inf
 
     def test_zero_data_closed_form(self):
         # All-zero data: every aggregate is (n - 1 + eps) * psi(0).
@@ -271,6 +357,24 @@ class TestComputeWeights:
         assert np.allclose(off, 1.0 / 5.0, atol=1e-12)
         assert np.allclose(w.beta_diag, 2.0 * np.ones(6), atol=1e-12)
 
+    def test_extreme_ratio_tables_stay_finite(self):
+        # |s| / tau near 1e4: alpha rows of each anchoring sum to one and
+        # the unpaired table matches the shifted dense formula.
+        rng = np.random.default_rng(18)
+        sims = 10.0 * rng.standard_normal((9, 9))
+        for spec in (LossSpec.clip(tau=1e-3, nu=2.0), LossSpec.infonce(tau=1e-3),
+                     LossSpec.infonce(tau=1e-3, smoothed=True)):
+            w = losses.compute_weights(spec, sims)
+            for table in (w.alpha, w.alpha_bar, w.beta_off, w.beta_diag):
+                assert np.all(np.isfinite(table))
+            if spec.phi == "log":
+                assert np.allclose(w.alpha.sum(axis=1), 1.0, atol=1e-12)
+                assert np.allclose(w.alpha_bar.sum(axis=1), 1.0, atol=1e-12)
+        beta = losses.unpaired_weights(sims[:, :7], 1e-3, 2.0, [[0, 0]]).beta_off
+        assert np.all(np.isfinite(beta))
+        assert np.allclose(beta, two_softmax_table(sims[:, :7], 1e-3), atol=1e-12)
+        assert beta.sum() == pytest.approx((9 + 7) / 2.0, rel=1e-12)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
             losses.compute_weights(LossSpec.linear(), np.zeros((3, 4)))
@@ -284,14 +388,28 @@ class TestUnpairedWeights:
         w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
         assert w.mode == "unpaired"
         assert np.all(w.beta_diag == 0.0)
-        a = sims / 0.5
-        rows = np.exp(a - a.max(axis=1, keepdims=True))
-        rows /= rows.sum(axis=1, keepdims=True)
-        cols = np.exp(a - a.max(axis=0, keepdims=True))
-        cols /= cols.sum(axis=0, keepdims=True)
-        assert np.allclose(w.beta_off, (rows + cols) / 2.0, atol=1e-12)
+        assert np.allclose(w.beta_off, two_softmax_table(sims, 0.5), atol=1e-12)
         assert np.array_equal(w.edges, edges)
         assert w.nu == 2.0
+        # Several row blocks with a ragged last one, on a non-square table.
+        assert 700 > 2 * losses._BLOCK_ROWS and 700 % losses._BLOCK_ROWS
+        sims = 3.0 * np.random.default_rng(19).standard_normal((700, 530))
+        w = losses.unpaired_weights(sims, tau=0.4, nu=1.5, edges=[[0, 0], [699, 529]])
+        assert w.beta_off.shape == (700, 530)
+        assert np.abs(w.beta_off - two_softmax_table(sims, 0.4)).max() < 1e-14
+
+    def test_peak_memory_stays_near_output(self):
+        # The table is streamed in row blocks: besides the returned table
+        # only a few row blocks are ever allocated.
+        import tracemalloc
+        sims = np.random.default_rng(20).standard_normal((2048, 1500))
+        tracemalloc.start()
+        try:
+            w = losses.unpaired_weights(sims, tau=0.5, nu=1.0, edges=[[0, 0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * w.beta_off.nbytes
 
     def test_validation(self):
         sims = np.zeros((4, 4))
@@ -399,22 +517,45 @@ class TestLossGradient:
         x, xt, enc = random_instance(15, n=5)
         spec = LossSpec.linear(rho=0.9)
         g1d, g2d = losses.loss_gradient(spec, enc, (x, xt))
-        h = 1e-6
-        for grad, which in ((g1d, "g1"), (g2d, "g2")):
-            mat = getattr(enc, which)
-            fd = np.zeros_like(mat)
-            for idx in np.ndindex(mat.shape):
-                bump = np.zeros_like(mat)
-                bump[idx] = h
-                plus = EncoderPair(
-                    g1=enc.g1 + (bump if which == "g1" else 0.0),
-                    g2=enc.g2 + (bump if which == "g2" else 0.0))
-                minus = EncoderPair(
-                    g1=enc.g1 - (bump if which == "g1" else 0.0),
-                    g2=enc.g2 - (bump if which == "g2" else 0.0))
-                fd[idx] = (losses.loss_value(spec, plus, (x, xt))
-                           - losses.loss_value(spec, minus, (x, xt))) / (2.0 * h)
+        for grad, fd in zip((g1d, g2d), central_differences(spec, enc, (x, xt))):
             assert np.abs(grad - fd).max() < 1e-6
+        # Every phi x psi x epsilon: exp-psi losses on generic data at
+        # nu = 1.5, and all of them where the aggregates stay positive.
+        x, xt, enc = random_instance(21, n=5)
+        px, pxt, _ = positive_instance(21, n=5, d=3)
+        rng = np.random.default_rng(21)
+        penc = EncoderPair(g1=np.eye(3) + 0.05 * rng.standard_normal((3, 3)),
+                           g2=-np.eye(3) + 0.05 * rng.standard_normal((3, 3)))
+        cases = [(spec, enc, (x, xt)) for spec in all_transform_specs(nu=1.5)
+                 if spec.psi == "exp"]
+        cases += [(spec, penc, (px, pxt)) for spec in all_transform_specs()]
+        for spec, e, data in cases:
+            assert np.isfinite(losses.loss_value(spec, e, data))
+            grads = losses.loss_gradient(spec, e, data)
+            for grad, fd in zip(grads, central_differences(spec, e, data)):
+                assert np.abs(grad - fd).max() < 1e-6 * max(1.0, np.abs(fd).max()), spec
+
+    def test_out_of_domain_gradients_raise(self):
+        x, xt, enc = positive_instance(17, n=8)
+        flipped = EncoderPair(g1=enc.g1, g2=-enc.g2)
+        zero = (np.zeros((4, 3)), np.zeros((4, 3)))
+        for spec in all_transform_specs():
+            if spec.psi == "identity" and spec.phi != "identity":
+                with pytest.raises(NonFinite):
+                    losses.loss_gradient(spec, flipped, (x, xt))
+            if spec.psi == "identity" and spec.phi == "log":
+                with pytest.raises(NonFinite):
+                    losses.loss_gradient(spec, enc, zero)
+            else:
+                grads = losses.loss_gradient(spec, enc, zero)
+                assert all(np.all(np.isfinite(g)) for g in grads)
+        # An overflowing identity-phi aggregate gives a non-finite
+        # gradient rather than an error; the solvers reject it.
+        big = (100.0 * np.eye(3), 100.0 * np.eye(3))
+        spec = LossSpec(phi="identity", psi="exp", epsilon=1.0, nu=1.0, tau=0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = losses.loss_gradient(spec, EncoderPair(g1=np.eye(3), g2=-np.eye(3)), big)
+        assert not all(np.all(np.isfinite(g)) for g in grads)
 
 
 @settings(max_examples=15, deadline=None)

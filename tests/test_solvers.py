@@ -236,7 +236,38 @@ class TestApproxInfonce:
         assert fit.meta["beta_off"].shape == (8, 8)
 
 
+def estimate_edges_by_sets(sims):
+    """Set-based mutual-argmax pool, the reference for estimate_edges."""
+    n = sims.shape[0]
+    row_best = np.argmax(sims, axis=1)
+    col_best = np.argmax(sims, axis=0)
+    pool = {(int(i), int(row_best[i])) for i in range(n)}
+    pool.update((int(col_best[j]), int(j)) for j in range(n))
+    ranked = sorted(pool, key=lambda ij: (-sims[ij], ij[0], ij[1]))
+    kept = ranked[:min(n, len(ranked))]
+    edges = np.array(sorted(kept), dtype=np.int64).reshape(-1, 2)
+    return edges, float(sims[kept[-1]]), len(pool), len(pool) < n
+
+
 class TestEstimateEdges:
+    def test_matches_set_based_pool(self):
+        # Gaussian and tie-heavy integer tables, square sizes 1 to 300,
+        # which spans several argmax row blocks.
+        rng = np.random.default_rng(16)
+        for trial in range(200):
+            n = int(rng.integers(1, 301))
+            if trial % 2:
+                sims = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+            else:
+                sims = rng.standard_normal((n, n))
+            edges, threshold, pool_size, short_pool = estimate_edges_by_sets(sims)
+            est = solvers.estimate_edges(sims)
+            assert est.edges.dtype == np.int64
+            assert np.array_equal(est.edges, edges)
+            assert est.threshold == threshold
+            assert est.pool_size == pool_size
+            assert est.short_pool == short_pool
+
     def test_identity_similarities(self):
         est = solvers.estimate_edges(np.eye(4))
         assert np.array_equal(est.edges, np.stack([np.arange(4)] * 2, axis=1))
