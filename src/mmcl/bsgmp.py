@@ -41,7 +41,7 @@ class BipartiteGraph:
             if np.any(edges[:, 1] < 0) or np.any(edges[:, 1] >= self.n_right):
                 raise InvalidInput("right endpoint out of range")
             keys = edges[:, 0] * self.n_right + edges[:, 1]
-            if np.unique(keys).shape[0] != keys.shape[0]:
+            if linalg.sorted_unique(keys).shape[0] != keys.shape[0]:
                 raise InvalidInput("duplicate edges")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).reshape(-1)

@@ -3,7 +3,8 @@
 Subcommands: gen (write a dataset directory), fit (fit encoders on a
 dataset directory), bsgmp (partition an edge list), exp (run a config
 sweep). Configuration errors exit with code 2, numerical failures with
-code 3.
+code 3. A sweep in which every trial failed exits 2 when each failure was
+a configuration error, and 3 otherwise.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bsgmp as bsgmp_mod
-from . import datagen, harness, solvers, storage
+from . import datagen, errors, harness, solvers, storage
 from .errors import (
     CONFIG_EXIT_CODE,
     NUMERICAL_EXIT_CODE,
@@ -130,11 +131,17 @@ def _cmd_exp(args) -> int:
     obj["experiment"] = args.name
     cfg = harness.ExperimentConfig.from_json(obj)
     rows = harness.run_experiment(cfg, out_dir=args.out, config_bytes=raw)
-    failed = sum(1 for row in rows if row.flags.startswith("failed:"))
-    note = f" ({failed} failed)" if failed else ""
+    failed = [row.flags[len("failed:"):] for row in rows if row.flags.startswith("failed:")]
+    note = f" ({len(failed)} failed)" if failed else ""
     out = args.out or cfg.output_dir
-    print(f"experiment {args.name}: {len(rows)} trials{note} -> {out}")
-    return 0
+    summary = f"experiment {args.name}: {len(rows)} trials{note} -> {out}"
+    if len(failed) < len(rows):
+        print(summary)
+        return 0
+    print(f"error: {summary}: {', '.join(sorted(set(failed)))}", file=sys.stderr)
+    config = all(issubclass(getattr(errors, name, Exception), ConfigurationError)
+                 for name in failed)
+    return CONFIG_EXIT_CODE if config else NUMERICAL_EXIT_CODE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -238,8 +238,8 @@ def estimate_edges(sims) -> EdgeEstimate:
         col_best[cols] = lo + np.argmax(block[:, cols] == block_max[cols], axis=0)
     # Pool pairs as codes i * n + j; ascending codes are lexicographic pairs.
     items = np.arange(n, dtype=np.int64)
-    codes = np.unique(np.concatenate([items * n + np.argmax(sims, axis=1),
-                                      col_best * n + items]))
+    codes = linalg.sorted_unique(np.concatenate([items * n + np.argmax(sims, axis=1),
+                                                 col_best * n + items]))
     rows, cols = np.divmod(codes, n)
     scores = sims[rows, cols]
     ranked = np.lexsort((cols, rows, -scores))[:n]

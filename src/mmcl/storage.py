@@ -47,12 +47,31 @@ def save_matrix(path: str, arr) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
+    """Read a CSV matrix, one row per line.
+
+    A ragged row, or a cell that is not a finite number, raises
+    InvalidInput naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
+        raw = fh.read()
+    text = raw.strip()
     if not text:
         return np.empty((0, 0))
-    rows = [[float(c) for c in line.split(",")] for line in text.splitlines()]
-    return np.asarray(rows, dtype=np.float64)
+    first_line = raw[:len(raw) - len(raw.lstrip())].count("\n") + 1
+    rows = []
+    for n, line in enumerate(text.splitlines(), start=first_line):
+        try:
+            rows.append([float(c) for c in line.split(",")])
+        except ValueError:
+            raise InvalidInput(f"{path} line {n}: non-numeric cell in {line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise InvalidInput(
+                f"{path} line {n}: {len(rows[-1])} cells, expected {len(rows[0])}")
+    arr = np.asarray(rows, dtype=np.float64)
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise InvalidInput(f"{path} line {first_line + int(np.argmax(bad))}: non-finite cell")
+    return arr
 
 
 def save_json(path: str, obj) -> None:
@@ -97,20 +116,35 @@ def _write_edge_rows(path: str, edges: np.ndarray, truth_mask) -> None:
     write_csv(path, ("i", "j", "is_truth"), rows)
 
 
+def _csv_rows(path: str) -> list:
+    """(line number, cells) for each nonblank line of a CSV file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+
+
+def _int_columns(path: str, rows: list, width: int) -> np.ndarray:
+    """The first width cells of each (line number, cells) row as int64.
+
+    A shorter row or a non-integer cell raises InvalidInput naming the
+    file and the line.
+    """
+    out = []
+    for n, cells in rows:
+        if len(cells) < width:
+            raise InvalidInput(f"{path} line {n}: {len(cells)} cells, expected {width}")
+        try:
+            out.append([int(c) for c in cells[:width]])
+        except ValueError:
+            raise InvalidInput(
+                f"{path} line {n}: non-integer cell in {','.join(cells)!r}") from None
+    return np.asarray(out, dtype=np.int64).reshape(-1, width)
+
+
 def read_edge_csv(path: str) -> np.ndarray:
     """Edge list from a CSV with an i,j[,is_truth] header; truth column ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return np.empty((0, 2), dtype=np.int64)
-    start = 1 if not lines[0].split(",")[0].lstrip("-").isdigit() else 0
-    out = []
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        if len(parts) < 2:
-            raise InvalidInput(f"bad edge row {ln!r} in {path}")
-        out.append((int(parts[0]), int(parts[1])))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+    rows = _csv_rows(path)
+    start = 1 if rows and not rows[0][1][0].lstrip("-").isdigit() else 0
+    return _int_columns(path, rows[start:], 2)
 
 
 def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> None:
@@ -158,9 +192,7 @@ def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> Non
 
 
 def _read_labels(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return np.asarray([int(v) for v in lines[1:]], dtype=np.int64)
+    return _int_columns(path, _csv_rows(path)[1:], 1)[:, 0]
 
 
 def load_dataset(path: str):
@@ -170,11 +202,9 @@ def load_dataset(path: str):
     xt = load_matrix(os.path.join(path, "xt.csv"))
     kind = meta.get("kind", "paired")
     edge_path = os.path.join(path, "edges.csv")
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = [tuple(int(v) for v in ln.split(",")) for ln in lines[1:]]
-    edges = np.asarray([(i, j) for i, j, _ in rows], dtype=np.int64).reshape(-1, 2)
-    truth_mask = np.asarray([t for _, _, t in rows], dtype=bool)
+    rows = _int_columns(edge_path, _csv_rows(edge_path)[1:], 3)
+    edges = np.ascontiguousarray(rows[:, :2])
+    truth_mask = rows[:, 2].astype(bool)
     if kind == "labeled-bipartite":
         labels_x = _read_labels(os.path.join(path, "labels_left.csv"))
         labels_xt = _read_labels(os.path.join(path, "labels_right.csv"))

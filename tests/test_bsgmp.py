@@ -64,6 +64,17 @@ class TestBipartiteGraph:
                            weights=np.array([1.0, 2.0]))
 
 
+    def test_duplicate_hidden_among_many_edges(self):
+        rng = np.random.default_rng(47)
+        codes = rng.choice(1000 * 1000, size=300_000, replace=False)
+        edges = np.stack(np.divmod(codes, 1000), axis=1)
+        assert BipartiteGraph(1000, 1000, edges).m == 300_000
+        spot = int(rng.integers(0, edges.shape[0]))
+        dup = np.insert(edges, spot, edges[int(rng.integers(0, edges.shape[0]))], axis=0)
+        with pytest.raises(InvalidInput, match="duplicate"):
+            BipartiteGraph(1000, 1000, dup)
+
+
 class TestNormalizedAdjacency:
     def test_single_edge(self):
         g = BipartiteGraph(n_left=1, n_right=1, edges=np.array([[0, 0]]))

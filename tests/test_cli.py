@@ -11,7 +11,7 @@ import pytest
 
 from mmcl import datagen, solvers, storage
 from mmcl.cli import main
-from mmcl.errors import CONFIG_EXIT_CODE, NUMERICAL_EXIT_CODE
+from mmcl.errors import CONFIG_EXIT_CODE, NUMERICAL_EXIT_CODE, DegenerateData
 
 MODEL = {"d1": 6, "d2": 5, "r": 2, "snr": 2.0, "seed": 0}
 
@@ -262,6 +262,90 @@ class TestExp:
         cfg = write_config(tmp_path, "e.json", self.EXP_CONFIG)
         assert main(["exp", "bogus", "--config", cfg,
                      "--out", str(tmp_path / "exp")]) == CONFIG_EXIT_CODE
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 2 or 3 with one line on stderr, never a traceback."""
+
+    BSGMP_OPTIONS = {"k_true": 2, "n_per_cluster": 4, "n_test_per_cluster": 2,
+                     "restarts": 1, "fit_rank": 1}
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return code, err
+
+    def exp(self, tmp_path, name, sweep, options):
+        cfg = write_config(tmp_path, "e.json", {
+            "model": {"d1": 4, "d2": 3, "r": 2, "seed": 0}, "seeds": [0, 1],
+            "sweep": sweep, "options": options})
+        return ["exp", name, "--config", cfg, "--out", str(tmp_path / "exp")]
+
+    @pytest.mark.parametrize("name,text", [
+        ("x.csv", "1.0,2.0\n3.0\n"), ("x.csv", "1.0,a\n"), ("xt.csv", "nan,1.0\n"),
+        ("edges.csv", "i,j,is_truth\n0,0\n"), ("edges.csv", "i,j,is_truth\n0,z,1\n")])
+    def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, name, text):
+        data = gen_paired(tmp_path, n=10)
+        with open(os.path.join(data, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = self.run(capsys, ["fit", "linear", "--data", data,
+                                      "--out", str(tmp_path / "fit"), "--r", "1"])
+        assert code == CONFIG_EXIT_CODE
+        assert os.path.join(data, name) in err
+
+    @pytest.mark.parametrize("text", ["i,j\n0,1\n1,a\n", "i,j\n0,1\n1\n"])
+    def test_malformed_edge_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        code, err = self.run(capsys, ["bsgmp", "--edges", str(path), "--k", "2",
+                                      "--out", str(tmp_path / "p")])
+        assert code == CONFIG_EXIT_CODE
+        assert f"{path} line 3" in err
+
+    def test_bad_integer_option_exits_2(self, tmp_path, capsys):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]},
+                        dict(self.BSGMP_OPTIONS, restarts="x"))
+        code, err = self.run(capsys, argv)
+        assert code == CONFIG_EXIT_CODE
+        assert "options.restarts" in err
+        assert not (tmp_path / "exp").exists()
+
+    def test_bad_init_exits_2(self, tmp_path, capsys):
+        argv = self.exp(tmp_path, "unpaired", {"n_grid": [4], "ratio_grid": [1]},
+                        {"init": "bogus"})
+        code, err = self.run(capsys, argv)
+        assert code == CONFIG_EXIT_CODE
+        assert "options.init" in err
+
+    def test_all_trials_failing_on_configuration_exits_2(self, tmp_path, capsys):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": [99], "p_prime_grid": [0.0]},
+                        self.BSGMP_OPTIONS)
+        code, err = self.run(capsys, argv)
+        assert code == CONFIG_EXIT_CODE
+        assert "2 trials (2 failed)" in err and "InvalidK" in err
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "exp" / "results.csv").exists()
+
+    def test_all_trials_failing_numerically_exits_3(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateData("all samples identical")
+        monkeypatch.setattr(solvers, "fit_linear_closed_form", degenerate)
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": ["none", 99], "p_prime_grid": [0.0]},
+                        self.BSGMP_OPTIONS)
+        code, err = self.run(capsys, argv)
+        assert code == NUMERICAL_EXIT_CODE
+        assert "4 trials (4 failed)" in err
+        assert "DegenerateData" in err and "InvalidK" in err
+
+    def test_partly_failing_sweep_exits_0(self, tmp_path, capsys):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": ["none", 99], "p_prime_grid": [0.0]},
+                        self.BSGMP_OPTIONS)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "4 trials (2 failed)" in captured.out
+        assert captured.err == ""
 
 
 class TestArgumentParsing:

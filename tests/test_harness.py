@@ -79,7 +79,58 @@ class TestDownstreamAccuracy:
             downstream_accuracy(enc, empty)
 
 
+def sample_partners_by_dict(edges, rng):
+    """Dict-based first draw per left node, the reference for sample_partners."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    chosen = {}
+    for idx in rng.permutation(edges.shape[0]):
+        i, j = edges[idx]
+        if i not in chosen:
+            chosen[int(i)] = int(j)
+    if not chosen:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.array(sorted(chosen.items()), dtype=np.int64)
+
+
+def edge_metrics_by_sets(estimated, truth):
+    """Set-based precision and recall, the reference for edge_metrics."""
+    est = {(int(i), int(j)) for i, j in np.asarray(estimated, dtype=np.int64).reshape(-1, 2)}
+    tru = {(int(i), int(j)) for i, j in np.asarray(truth, dtype=np.int64).reshape(-1, 2)}
+    hit = len(est & tru)
+    precision = hit / len(est) if est else 0.0
+    return float(precision), float(hit / len(tru))
+
+
+def random_pairs(rng, count, lo, span):
+    """count pairs with both indices in [lo, lo + span); small spans repeat pairs."""
+    return lo + rng.integers(0, span, size=(count, 2), dtype=np.int64)
+
+
+# Index ranges for the oracle cases: negative, tiny (duplicate-heavy) and
+# far from zero (2**40 offsets, spans up to 2**30).
+PAIR_RANGES = [(0, 3), (0, 40), (-25, 50), (0, 2000), (2**40, 500),
+               (-(2**40), 5000), (-(2**29), 2**30)]
+
+
 class TestSamplePartners:
+    def test_matches_dict_based_draw(self):
+        # Left nodes with one edge and with many, duplicate edges, negative and
+        # far-from-zero indices; the generator must be left in the same state.
+        rng = np.random.default_rng(44)
+        for trial in range(240):
+            lo, span = PAIR_RANGES[trial % len(PAIR_RANGES)]
+            count = int(rng.integers(0, 400)) if trial % 5 else int(rng.integers(0, 3))
+            edges = random_pairs(rng, count, lo, span)
+            if trial % 3 == 0:
+                edges[:, 0] = lo + rng.integers(0, max(count, 1), size=count)
+            seed = [trial, 7]
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = sample_partners_by_dict(edges, want_rng)
+            got = sample_partners(edges, got_rng)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()
+
     def test_one_partner_per_left_node_sorted(self):
         edges = np.array([[3, 0], [0, 1], [0, 2], [1, 3]])
         got = sample_partners(edges, np.random.default_rng(5))
@@ -111,6 +162,40 @@ class TestSamplePartners:
 
 
 class TestEdgeMetrics:
+    def test_matches_set_based_counts(self):
+        # Duplicates on both sides, empty estimates, negative and far-from-zero
+        # indices, disjoint and overlapping sets; the floats must be equal.
+        rng = np.random.default_rng(45)
+        for trial in range(240):
+            lo, span = PAIR_RANGES[trial % len(PAIR_RANGES)]
+            truth = random_pairs(rng, int(rng.integers(1, 300)), lo, span)
+            est = random_pairs(rng, int(rng.integers(0, 300)) if trial % 6 else 0, lo, span)
+            if trial % 4 == 0:
+                est = np.concatenate([est, truth[rng.integers(0, len(truth), size=50)]])
+            elif trial % 4 == 1:
+                est = est + span
+            assert edge_metrics(est, truth) == edge_metrics_by_sets(est, truth)
+
+    def test_index_span_too_wide_for_codes_rejected(self):
+        pairs = np.array([[-(2**62), 0], [2**62, 2**40]])
+        with pytest.raises(InvalidInput):
+            edge_metrics(pairs, pairs)
+
+    def test_peak_memory_stays_near_input(self):
+        # A bsgmp-sized trial: about 340k kept edges against 100k truth pairs.
+        import tracemalloc
+        rng = np.random.default_rng(46)
+        est = rng.integers(0, 1000, size=(340_000, 2), dtype=np.int64)
+        labels = np.repeat(np.arange(10), 100)
+        truth = np.stack(np.nonzero(labels[:, None] == labels[None, :]), axis=1)
+        tracemalloc.start()
+        try:
+            edge_metrics(est, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (est.nbytes + truth.nbytes)
+
     def test_equal_sets_score_perfectly(self):
         truth = np.array([[i, i] for i in range(100)])
         assert edge_metrics(truth, truth) == (1.0, 1.0)
@@ -406,6 +491,26 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_json(dict(VALID_CONFIG, sweep={"n_grid": []}))
         with pytest.raises(InvalidInput, match="sweep.n_grid"):
             run_experiment(cfg, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("experiment,sweep,options,field", [
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"restarts": "x"}, "restarts"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"restarts": 0}, "restarts"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"k_true": 1}, "k_true"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"n_per_cluster": 2.5},
+         "n_per_cluster"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"n_test_per_cluster": True},
+         "n_test_per_cluster"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"fit_rank": "2"}, "fit_rank"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"init": "bogus"}, "init"),
+    ])
+    def test_bad_option_rejected_before_any_trial(self, tmp_path, experiment, sweep,
+                                                  options, field):
+        cfg = ExperimentConfig.from_json(dict(
+            VALID_CONFIG, experiment=experiment, sweep=sweep, options=options))
+        out = tmp_path / "exp"
+        with pytest.raises(InvalidInput, match=f"options.{field}"):
+            run_experiment(cfg, out_dir=str(out))
+        assert not out.exists()
 
 
 class TestWriteResultsAndSummarize:

@@ -82,6 +82,22 @@ class TestMatrixRoundTrip:
             storage.save_matrix(str(tmp_path / "m.csv"), arr)
 
 
+    @pytest.mark.parametrize("text,line,fragment", [
+        ("1.0,2.0\n3.0\n", 2, "1 cells, expected 2"),
+        ("1.0,2.0\n3.0,4.0,5.0\n", 2, "3 cells, expected 2"),
+        ("\n1.0,2.0\n3.0,x\n", 3, "non-numeric"),
+        ("1.0,2.0\n\n3.0,4.0\n", 2, "non-numeric"),
+        ("1.0,2.0\n3.0,nan\n", 2, "non-finite"),
+        ("1.0,-inf\n", 1, "non-finite"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, line, fragment):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput, match=fragment) as info:
+            storage.load_matrix(str(path))
+        assert f"{path} line {line}:" in str(info.value)
+
+
 class TestJsonHelpers:
     def test_save_json_sorts_keys_and_ends_with_newline(self, tmp_path):
         path = tmp_path / "o.json"
@@ -141,6 +157,12 @@ class TestReadEdgeCsv:
         path = tmp_path / "e.csv"
         path.write_text("i,j\n5\n")
         with pytest.raises(InvalidInput):
+            storage.read_edge_csv(str(path))
+
+    def test_non_integer_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("i,j\n0,1\n\n1,a\n")
+        with pytest.raises(InvalidInput, match=f"{path} line 4: non-integer"):
             storage.read_edge_csv(str(path))
 
 
@@ -208,6 +230,17 @@ class TestDatasetRoundTrip:
         for ln in lines[1:]:
             i, j, t = (int(v) for v in ln.split(","))
             assert t == int(lab.labels_x[i] == lab.labels_xt[j])
+
+
+    @pytest.mark.parametrize("row,fragment", [
+        ("3,4", "2 cells, expected 3"), ("3,x,1", "non-integer"), ("3,4,yes", "non-integer")])
+    def test_malformed_edge_row_rejected(self, tmp_path, row, fragment):
+        ds = datagen.sample_unpaired(datagen.random_model(5, 4, 2, seed=0), 6, seed=1)
+        storage.save_dataset(str(tmp_path), ds)
+        edge_path = tmp_path / "edges.csv"
+        edge_path.write_text(edge_path.read_text() + row + "\n")
+        with pytest.raises(InvalidInput, match=f"{edge_path} line 8: {fragment}"):
+            storage.load_dataset(str(tmp_path))
 
 
 class TestSaveFit:
