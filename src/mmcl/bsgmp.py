@@ -63,8 +63,10 @@ class BipartiteGraph:
         return a
 
     def degrees(self):
-        a = self.adjacency()
-        return a.sum(axis=1), a.sum(axis=0)
+        """Left and right weighted degrees, summed over the edge list."""
+        d_left = np.bincount(self.edges[:, 0], weights=self.weights, minlength=self.n_left)
+        d_right = np.bincount(self.edges[:, 1], weights=self.weights, minlength=self.n_right)
+        return d_left.astype(np.float64), d_right.astype(np.float64)
 
 
 def _inv_sqrt(d: np.ndarray) -> np.ndarray:
@@ -76,10 +78,11 @@ def _inv_sqrt(d: np.ndarray) -> np.ndarray:
 
 def normalized_adjacency(graph: BipartiteGraph) -> np.ndarray:
     """D_left^(-1/2) A D_right^(-1/2), with zero-degree rows/columns left at zero."""
+    d_left, d_right = graph.degrees()
     a = graph.adjacency()
-    d_left = a.sum(axis=1)
-    d_right = a.sum(axis=0)
-    return _inv_sqrt(d_left)[:, None] * a * _inv_sqrt(d_right)[None, :]
+    a *= _inv_sqrt(d_left)[:, None]
+    a *= _inv_sqrt(d_right)[None, :]
+    return a
 
 
 def embedding_width(k: int) -> int:
@@ -133,14 +136,34 @@ def _canonicalize_top_tie(u, v, s, deg_left):
     return u, v
 
 
+def _leading_svd(a, count: int):
+    """The top count singular triplets of a, widened over the run tied with the first.
+
+    One eigendecomposition of the Gram matrix on the smaller side spans the
+    leading subspace; a Rayleigh-Ritz step (linalg.svd of Q^T a, Q an
+    orthonormal basis of the left subspace) keeps linalg.svd's sign rule and
+    singular values accurate to about eps * s_1.
+    """
+    wide = a.shape[0] <= a.shape[1]
+    evals, evecs = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    s = np.sqrt(np.maximum(evals[::-1], 0.0))
+    tied = int(np.count_nonzero(s[0] - s <= TIE_TOL * max(s[0], 1.0)))
+    q = evecs[:, ::-1][:, :max(count, tied)]
+    if not wide:
+        q = np.linalg.qr(a @ q)[0]
+    res = linalg.svd(q.T @ a)
+    return linalg.SvdResult(u=q @ res.u, s=res.s, v=res.v)
+
+
 def spectral_embed(a_n, k: int, deg_left=None, deg_right=None, return_info: bool = False):
     """Joint node embedding from the normalized adjacency matrix.
 
     Stacks D_left^(-1/2) U and D_right^(-1/2) V, where U and V hold the
     singular vectors 2 .. l+1 of a_n and l = ceil(log2 k). When degree
     vectors are omitted the rescaling is skipped. With return_info=True
-    also returns a dict with the singular values, l, and a degenerate
-    flag raised when the second singular value is (near) zero.
+    also returns a dict with the leading singular values (the first l+1,
+    or the whole run tied with the first if that is longer), l, and a
+    degenerate flag raised when the second singular value is (near) zero.
     """
     a_n = linalg.as_matrix(a_n, "normalized adjacency")
     l = embedding_width(k)
@@ -148,7 +171,7 @@ def spectral_embed(a_n, k: int, deg_left=None, deg_right=None, return_info: bool
         raise InvalidK(
             f"need {l + 1} singular vectors but the matrix is {a_n.shape[0]} x {a_n.shape[1]}"
         )
-    res = linalg.svd(a_n)
+    res = _leading_svd(a_n, l + 1)
     u_all, v_all = _canonicalize_top_tie(res.u, res.v, res.s, deg_left)
     u_sel = u_all[:, 1:l + 1]
     v_sel = v_all[:, 1:l + 1]

@@ -8,6 +8,7 @@ a configuration error, and 3 otherwise.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,23 +36,26 @@ def _cmd_gen(args) -> int:
     if kind not in GEN_KINDS:
         raise InvalidInput(f"kind: must be one of {GEN_KINDS}, got {kind!r}")
     out = args.out or cfg.get("out")
-    if not out:
+    if not out or not isinstance(out, str):
         raise InvalidInput("an output directory is required (--out or config 'out')")
     model = harness.model_from_config(cfg.get("model", {}))
-    seed = cfg.get("seed", 0)
+    int_field = functools.partial(harness._int_option, cfg, where="")
+    float_field = functools.partial(harness._float_option, cfg, where="")
+    seed = int_field("seed", 0, minimum=0)
     if kind == "paired":
-        ds = datagen.sample_paired(model, int(cfg.get("n", 0)),
-                                   float(cfg.get("p", 0.0)), seed=seed)
+        ds = datagen.sample_paired(model, int_field("n", None, minimum=2),
+                                   float_field("p", 0.0, hi=1.0, lo_open=False),
+                                   seed=seed)
     elif kind == "unpaired":
-        ds = datagen.sample_unpaired(model, int(cfg.get("n", 0)), seed=seed)
+        ds = datagen.sample_unpaired(model, int_field("n", None, minimum=2), seed=seed)
     else:
         ds = datagen.sample_labeled_bipartite(
             model,
-            int(cfg.get("n_per_cluster", 0)),
-            int(cfg.get("k", 0)),
-            float(cfg.get("p_prime", 0.0)),
+            int_field("n_per_cluster", None),
+            int_field("k", None, minimum=2),
+            float_field("p_prime", 0.0, hi=1.0, lo_open=False),
             seed=seed,
-            within_scale=float(cfg.get("within_scale", 0.5)),
+            within_scale=float_field("within_scale", 0.5, lo_open=False),
         )
     storage.save_dataset(out, ds, model)
     print(f"wrote {kind} dataset ({ds.x.shape[0]} x {ds.x.shape[1]} / "
@@ -239,7 +243,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT_CODE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT_CODE
     except NumericalError as exc:

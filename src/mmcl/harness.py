@@ -11,6 +11,7 @@ which comparisons are expected to exclude.
 """
 
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -162,29 +163,19 @@ class ExperimentConfig:
 
 def model_from_config(mc: dict) -> datagen.ModelParams:
     """Build ModelParams from a config model section."""
-    for key in ("d1", "d2", "r"):
-        v = mc.get(key)
-        if not isinstance(v, int) or v < 1:
-            raise InvalidInput(f"model.{key}: must be a positive integer, got {v!r}")
+    if not isinstance(mc, dict):
+        raise InvalidInput("model: must be an object")
+    d1, d2, r = (_int_option(mc, key, None, where="model.") for key in ("d1", "d2", "r"))
     snr = mc.get("snr", "inf")
-    if isinstance(snr, str):
-        if snr != "inf":
-            raise InvalidInput(f"model.snr: must be a number or 'inf', got {snr!r}")
-        snr = np.inf
-    elif not isinstance(snr, (int, float)) or snr <= 0:
-        raise InvalidInput(f"model.snr: must be positive, got {snr!r}")
-    decay = mc.get("decay", 1.0)
-    if not isinstance(decay, (int, float)) or not (0.0 < decay <= 1.0):
-        raise InvalidInput(f"model.decay: must lie in (0, 1], got {decay!r}")
+    snr = np.inf if snr in ("inf", np.inf) else _float_option(mc, "snr", None, where="model.")
+    decay = _float_option(mc, "decay", 1.0, hi=1.0, where="model.")
     family = mc.get("family", "gaussian")
-    seed = mc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise InvalidInput(f"model.seed: must be a nonnegative integer, got {seed!r}")
+    seed = _int_option(mc, "seed", 0, minimum=0, where="model.")
     unknown = set(mc) - {"d1", "d2", "r", "snr", "decay", "family", "seed"}
     if unknown:
         raise InvalidInput(f"model: unknown fields {sorted(unknown)}")
-    return datagen.random_model(mc["d1"], mc["d2"], mc["r"], snr=float(snr),
-                                decay=float(decay), family=family, seed=seed)
+    return datagen.random_model(d1, d2, r, snr=snr, decay=decay,
+                                family=family, seed=seed)
 
 
 def _int_list(d: dict, path: str, minimum: int = 0):
@@ -195,11 +186,27 @@ def _int_list(d: dict, path: str, minimum: int = 0):
     return vals
 
 
-def _int_option(opts: dict, name: str, default: int, minimum: int = 1) -> int:
+def _int_option(opts: dict, name: str, default: int, minimum: int = 1,
+                where: str = "options.") -> int:
     val = opts.get(name, default)
     if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise InvalidInput(f"options.{name}: must be an integer >= {minimum}, got {val!r}")
+        raise InvalidInput(f"{where}{name}: must be an integer >= {minimum}, got {val!r}")
     return val
+
+
+def _float_option(opts: dict, name: str, default: float, lo: float = 0.0,
+                  hi: float = np.inf, lo_open: bool = True,
+                  where: str = "options.") -> float:
+    """A finite number from opts in the range (lo, hi], or [lo, hi] when not lo_open."""
+    val = opts.get(name, default)
+    num = np.nan  # fails every comparison below
+    if (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max):
+        num = float(val)
+    if not ((lo < num if lo_open else lo <= num) and num <= hi):
+        above = f"{'>' if lo_open else '>='} {lo}" + (f" and <= {hi}" if hi < np.inf else "")
+        raise InvalidInput(f"{where}{name}: must be a finite number {above}, got {val!r}")
+    return num
 
 
 def _float_list(d: dict, path: str, lo: float, hi: float):
@@ -225,7 +232,7 @@ def _subspace_errors(enc: EncoderPair, model: datagen.ModelParams):
 def _trials_distortion(cfg: ExperimentConfig, model: datagen.ModelParams):
     n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
     p_grid = _float_list(cfg.sweep, "sweep.p_grid", 0.0, 1.0)
-    rho = float(cfg.options.get("rho", 1.0))
+    rho = _float_option(cfg.options, "rho", 1.0)
     er1, er2 = model.noise_effective_ranks()
     trials = []
     for n in n_grid:
@@ -248,10 +255,12 @@ def _trials_unpaired(cfg: ExperimentConfig, model: datagen.ModelParams):
     n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
     ratio_grid = _int_list(cfg.sweep, "sweep.ratio_grid", minimum=1)
     opts = cfg.options
-    nu = float(opts.get("nu", 2.0))
-    rho = float(opts.get("rho", 1.0))
+    nu = _float_option(opts, "nu", 2.0, lo=1.0, lo_open=False)
+    rho = _float_option(opts, "rho", 1.0)
     tau_opt = opts.get("tau", "auto")
-    tau_scale = float(opts.get("tau_scale", 1.0))
+    if tau_opt != "auto":
+        tau_opt = _float_option(opts, "tau", 1.0)
+    tau_scale = _float_option(opts, "tau_scale", 1.0)
     init_mode = opts.get("init", "linear")
     if init_mode not in ("linear", "infonce"):
         raise InvalidInput(f"options.init: must be 'linear' or 'infonce', got {init_mode!r}")
@@ -265,7 +274,7 @@ def _trials_unpaired(cfg: ExperimentConfig, model: datagen.ModelParams):
                     if tau_opt == "auto":
                         tau = schedule_tau(model.r, n * ratio, scale=tau_scale)
                     else:
-                        tau = float(tau_opt)
+                        tau = tau_opt
                     spec = LossSpec(phi="log", psi="exp", epsilon=1.0, nu=nu,
                                     tau=tau, cn="n", rho=rho)
                     fit = solvers.fit_semisupervised(paired, pool, model.r, spec,
@@ -292,9 +301,9 @@ def _trials_bsgmp(cfg: ExperimentConfig, model: datagen.ModelParams):
     n_per = _int_option(opts, "n_per_cluster", 50)
     n_test = _int_option(opts, "n_test_per_cluster", 20)
     restarts = _int_option(opts, "restarts", 10)
-    rho = float(opts.get("rho", 1.0))
+    rho = _float_option(opts, "rho", 1.0)
     fit_rank = _int_option(opts, "fit_rank", model.r)
-    within = float(opts.get("within_scale", 0.5))
+    within = _float_option(opts, "within_scale", 0.5, lo_open=False)
     trials = []
     for k in k_grid:
         for pp in pp_grid:
@@ -380,10 +389,11 @@ def gradient_residual(spec: LossSpec, enc: EncoderPair, data, h: float = 1e-5) -
 def _trials_gradcheck(cfg: ExperimentConfig, model: datagen.ModelParams):
     n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
     opts = cfg.options
-    h = float(opts.get("h", 1e-5))
-    enc_rank = int(opts.get("enc_rank", 2))
+    h = _float_option(opts, "h", 1e-5)
+    enc_rank = _int_option(opts, "enc_rank", 2)
     names = opts.get("losses", list(GRADCHECK_SPECS))
-    if not isinstance(names, list) or not all(nm in GRADCHECK_SPECS for nm in names):
+    if not isinstance(names, list) or not all(
+            isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in names):
         raise InvalidInput(f"options.losses: must be a list from {sorted(GRADCHECK_SPECS)}")
     trials = []
     for n in n_grid:
@@ -425,16 +435,11 @@ def _add_noise_spikes(model: datagen.ModelParams, count: int, scale: float,
 def _trials_sscl(cfg: ExperimentConfig, model: datagen.ModelParams):
     n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
     opts = cfg.options
-    p = float(opts.get("p", 0.2))
-    rho = float(opts.get("rho", 1.0))
-    k_draws = int(opts.get("k_draws", 2000))
-    spikes = int(opts.get("noise_spikes", 0))
-    spike_scale = float(opts.get("noise_spike_scale", 1.0))
-    if spikes < 0:
-        raise InvalidInput(f"options.noise_spikes: must be >= 0, got {spikes}")
-    if not spike_scale > 0:
-        raise InvalidInput(
-            f"options.noise_spike_scale: must be positive, got {spike_scale}")
+    p = _float_option(opts, "p", 0.2, hi=1.0, lo_open=False)
+    rho = _float_option(opts, "rho", 1.0)
+    k_draws = _int_option(opts, "k_draws", 2000)
+    spikes = _int_option(opts, "noise_spikes", 0, minimum=0)
+    spike_scale = _float_option(opts, "noise_spike_scale", 1.0)
     if spikes:
         model = _add_noise_spikes(model, spikes, spike_scale,
                                   int(cfg.model.get("seed", 0)))

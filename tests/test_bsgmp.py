@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmcl import bsgmp, datagen
+from mmcl import bsgmp, datagen, linalg
 from mmcl.bsgmp import BipartiteGraph
 from mmcl.errors import InvalidInput, InvalidK
 
@@ -46,6 +46,22 @@ class TestBipartiteGraph:
         g = BipartiteGraph(n_left=2, n_right=2, edges=np.array([[0, 1]]),
                            weights=np.array([2.5]))
         assert g.adjacency()[0, 1] == 2.5
+
+    def test_degrees_match_adjacency_sums(self):
+        rng = np.random.default_rng(5)
+        edges = np.argwhere(rng.random((40, 30)) < 0.3)
+        g = BipartiteGraph(n_left=41, n_right=30, edges=edges)
+        a = g.adjacency()
+        dl, dr = g.degrees()
+        assert dl.dtype == dr.dtype == np.float64
+        assert np.array_equal(dl, a.sum(axis=1)) and np.array_equal(dr, a.sum(axis=0))
+        gw = BipartiteGraph(n_left=41, n_right=30, edges=edges,
+                            weights=rng.uniform(0.0, 3.0, edges.shape[0]))
+        aw = gw.adjacency()
+        dl, dr = gw.degrees()
+        assert np.allclose(dl, aw.sum(axis=1), rtol=1e-14, atol=0.0)
+        assert np.allclose(dr, aw.sum(axis=0), rtol=1e-14, atol=0.0)
+        assert dl[40] == 0.0
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -144,14 +160,108 @@ class TestSpectralEmbed:
         assert info["singular_values"].shape[0] >= 5
 
     def test_single_biclique_is_degenerate(self):
-        g, _, _ = biclique_union([5], [5])
-        a_n = bsgmp.normalized_adjacency(g)
-        _, info = bsgmp.spectral_embed(a_n, 2, return_info=True)
-        assert info["degenerate"]
+        for sizes in (([5], [5]), ([3], [7]), ([7], [3])):
+            g, _, _ = biclique_union(*sizes)
+            a_n = bsgmp.normalized_adjacency(g)
+            _, info = bsgmp.spectral_embed(a_n, 2, return_info=True)
+            assert info["singular_values"][0] == pytest.approx(1.0, abs=1e-14)
+            assert info["degenerate"]
 
     def test_k_too_large(self):
         with pytest.raises(InvalidK):
             bsgmp.spectral_embed(np.eye(3), 8)
+
+
+def dense_embedding(a, l):
+    """Vectors 2 .. l+1 from the full dense SVD, the embedding's oracle."""
+    res = linalg.svd(a)
+    u, v = bsgmp._canonicalize_top_tie(res.u, res.v, res.s, None)
+    return res.s, u[:, 1:l + 1], v[:, 1:l + 1]
+
+
+def with_spectrum(rng, m, n, s):
+    """An m x n matrix with the given leading singular values, zero beyond them."""
+    u = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (u * s) @ v.T
+
+
+class TestLeadingSingularBlock:
+    """spectral_embed computes only the leading singular block; the dense
+    SVD of the same matrix is the oracle wherever that block is unique."""
+
+    def check_against_dense(self, a, k):
+        l = bsgmp.embedding_width(k)
+        z, info = bsgmp.spectral_embed(a, k, return_info=True)
+        s, u, v = dense_embedding(a, l)
+        lead = info["singular_values"]
+        assert lead.shape[0] >= l + 1
+        assert np.max(np.abs(lead - s[:lead.shape[0]])) <= 1e-13 * s[0]
+        nxt = np.append(s, 0.0)
+        checked = 0
+        for j in range(1, l + 1):
+            if min(s[j - 1] - s[j], s[j] - nxt[j + 1]) >= 1e-3 * s[0]:
+                assert np.max(np.abs(z[:a.shape[0], j - 1] - u[:, j - 1])) <= 1e-10
+                assert np.max(np.abs(z[a.shape[0]:, j - 1] - v[:, j - 1])) <= 1e-10
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("shape", [(30, 50), (50, 30), (40, 40)])
+    def test_matches_dense_svd_on_separated_spectra(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        spectrum = [3.0, 2.2, 1.7, 1.1, 0.8, 0.5] + list(rng.uniform(0.0, 0.4, 20))
+        a = with_spectrum(rng, *shape, spectrum)
+        assert self.check_against_dense(a, 10) == 4
+
+    @pytest.mark.parametrize("shape", [(30, 50), (50, 30), (40, 40)])
+    def test_matches_dense_svd_when_rank_deficient(self, shape):
+        # Rank 3 with five vectors needed: the null-space vectors are not
+        # determined and go unchecked, the rest must agree.
+        rng = np.random.default_rng(7 + shape[0])
+        a = with_spectrum(rng, *shape, [2.0, 1.0, 0.5])
+        assert self.check_against_dense(a, 10) == 2
+        _, info = bsgmp.spectral_embed(a, 10, return_info=True)
+        assert np.all(info["singular_values"][3:] <= 1e-13 * 2.0)
+
+    @pytest.mark.parametrize("shape", [(300, 200), (200, 300), (250, 250)])
+    def test_matches_dense_svd_on_random_graphs(self, shape):
+        rng = np.random.default_rng(shape[0])
+        mask = rng.random(shape) < 0.05
+        g = BipartiteGraph(n_left=shape[0], n_right=shape[1],
+                           edges=np.argwhere(mask), weights=rng.uniform(0.5, 2.0, mask.sum()))
+        assert self.check_against_dense(bsgmp.normalized_adjacency(g), 10) >= 2
+
+    def test_tie_run_longer_than_block(self):
+        # Eight components tie sigma_1 eight ways while k = 4 needs three
+        # vectors: the whole run is kept and rotated onto the Perron
+        # direction, which leaves vectors 2 and 3 constant on each component
+        # and orthogonal to that direction.
+        g, labels_l, labels_r = biclique_union([3, 4, 2, 5, 3, 2, 4, 3], [2, 3, 4, 2, 5, 3, 2, 4])
+        z, info = bsgmp.spectral_embed(bsgmp.normalized_adjacency(g), 4, return_info=True)
+        assert info["singular_values"].shape[0] == 8
+        assert np.allclose(info["singular_values"], 1.0, rtol=0.0, atol=1e-13)
+        assert not info["degenerate"]
+        z_l, z_r = z[:g.n_left], z[g.n_left:]
+        for c in range(8):
+            assert np.max(np.ptp(z_l[labels_l == c], axis=0)) < 1e-12
+            assert np.max(np.ptp(z_r[labels_r == c], axis=0)) < 1e-12
+        assert np.allclose(z_l.T @ z_l, np.eye(2), rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(z_l.sum(axis=0))) < 1e-12
+
+    def test_isolated_nodes_embed_at_zero(self):
+        rng = np.random.default_rng(11)
+        mask = rng.random((120, 90)) < 0.08
+        mask[[3, 50, 119]] = False
+        mask[:, [0, 44]] = False
+        g = BipartiteGraph(n_left=120, n_right=90, edges=np.argwhere(mask))
+        a_n = bsgmp.normalized_adjacency(g)
+        assert self.check_against_dense(a_n, 10) >= 2
+        dl, dr = g.degrees()
+        z = bsgmp.spectral_embed(a_n, 10, deg_left=dl, deg_right=dr)
+        isolated = np.concatenate([dl, dr]) == 0.0
+        assert isolated.sum() >= 5
+        assert np.all(z[isolated] == 0.0)
+        assert np.all(np.any(z[~isolated] != 0.0, axis=1))
 
 
 class TestKmeans:

@@ -312,6 +312,40 @@ class TestMalformedInputs:
         assert "options.restarts" in err
         assert not (tmp_path / "exp").exists()
 
+    @pytest.mark.parametrize("options,field", [
+        ({"rho": "x"}, "rho"), ({"within_scale": float("nan")}, "within_scale")])
+    def test_bad_float_option_exits_2(self, tmp_path, capsys, options, field):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]},
+                        dict(self.BSGMP_OPTIONS, **options))
+        code, err = self.run(capsys, argv)
+        assert code == CONFIG_EXIT_CODE
+        assert f"options.{field}" in err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("kind,fields,field", [
+        ("paired", {"n": "x", "p": 0.0}, "n"),
+        ("paired", {"n": 10.0, "p": 0.0}, "n"),
+        ("paired", {"p": 0.0}, "n"),
+        ("paired", {"n": 10, "p": "0.2"}, "p"),
+        ("paired", {"n": 10, "p": float("nan")}, "p"),
+        ("paired", {"n": 10, "p": 0.0, "seed": "1"}, "seed"),
+        ("unpaired", {"n": True}, "n"),
+        ("labeled-bipartite", {"n_per_cluster": "5", "k": 2}, "n_per_cluster"),
+        ("labeled-bipartite", {"n_per_cluster": 5, "k": 1}, "k"),
+        ("labeled-bipartite", {"n_per_cluster": 5, "k": 2, "p_prime": 2}, "p_prime"),
+        ("labeled-bipartite", {"n_per_cluster": 5, "k": 2, "within_scale": "big"},
+         "within_scale"),
+        ("paired", {"n": 10, "model": "m"}, "model"),
+        ("paired", {"n": 10, "model": dict(MODEL, r=True)}, "model.r"),
+    ])
+    def test_bad_gen_field_exits_2(self, tmp_path, capsys, kind, fields, field):
+        cfg = write_config(tmp_path, "g.json", dict({"kind": kind, "model": MODEL}, **fields))
+        out = tmp_path / "data"
+        code, err = self.run(capsys, ["gen", "--config", cfg, "--out", str(out)])
+        assert code == CONFIG_EXIT_CODE
+        assert err.startswith(f"error: {field}:")
+        assert not out.exists()
+
     def test_bad_init_exits_2(self, tmp_path, capsys):
         argv = self.exp(tmp_path, "unpaired", {"n_grid": [4], "ratio_grid": [1]},
                         {"init": "bogus"})

@@ -502,6 +502,24 @@ class TestRunExperiment:
          "n_test_per_cluster"),
         ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"fit_rank": "2"}, "fit_rank"),
         ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"init": "bogus"}, "init"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"rho": "x"}, "rho"),
+        ("bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]}, {"within_scale": -0.1},
+         "within_scale"),
+        ("distortion", {"n_grid": [4], "p_grid": [0.0]}, {"rho": True}, "rho"),
+        ("distortion", {"n_grid": [4], "p_grid": [0.0]}, {"rho": 0}, "rho"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"nu": 0.5}, "nu"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"tau": math.nan}, "tau"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"tau": "fast"}, "tau"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"tau_scale": [1.0]}, "tau_scale"),
+        ("gradcheck", {"n_grid": [4]}, {"h": math.inf}, "h"),
+        ("gradcheck", {"n_grid": [4]}, {"enc_rank": 2.0}, "enc_rank"),
+        ("gradcheck", {"n_grid": [4]}, {"losses": [["linear"]]}, "losses"),
+        ("sscl-compare", {"n_grid": [4]}, {"p": 1.5}, "p"),
+        ("sscl-compare", {"n_grid": [4]}, {"p": None}, "p"),
+        ("sscl-compare", {"n_grid": [4]}, {"k_draws": "10"}, "k_draws"),
+        ("sscl-compare", {"n_grid": [4]}, {"noise_spikes": -1}, "noise_spikes"),
+        ("sscl-compare", {"n_grid": [4]}, {"noise_spike_scale": -math.inf},
+         "noise_spike_scale"),
     ])
     def test_bad_option_rejected_before_any_trial(self, tmp_path, experiment, sweep,
                                                   options, field):
