@@ -57,9 +57,7 @@ class BipartiteGraph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_left, self.n_right))
-        if self.m:
-            w = self.weights if self.weights is not None else np.ones(self.m)
-            a[self.edges[:, 0], self.edges[:, 1]] = w
+        a[self.edges[:, 0], self.edges[:, 1]] = 1.0 if self.weights is None else self.weights
         return a
 
     def degrees(self):
@@ -199,35 +197,24 @@ class KMeansResult:
     iterations: int
 
 
-def _pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
-    return centers
+def _pp_init(points: np.ndarray, w: np.ndarray, inverse: np.ndarray, k: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding over weighted representatives.
 
+    Uniform draws pick an input point and take its representative, which
+    is a draw proportional to weight; inverse maps input points to
+    representatives.
+    """
+    def uniform() -> int:
+        return int(inverse[int(rng.integers(inverse.shape[0]))])
 
-def _pp_init_weighted(points: np.ndarray, w: np.ndarray, k: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.choice(n, p=w / w.sum()))]
+    centers[0] = points[uniform()]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         mass = w * d2
         total = mass.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=mass / total))
-        else:
-            idx = int(rng.integers(n))
+        idx = int(rng.choice(points.shape[0], p=mass / total)) if total > 0 else uniform()
         centers[c] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
@@ -245,32 +232,8 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return labels, own
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
-    k = centers.shape[0]
-    labels, own = _assign(points, centers)
-    for it in range(max_iter):
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        new_centers = centers.copy()
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-        # an empty cluster is reseeded at the point farthest from its center
-        reseed_own = own.copy()
-        for cid in np.nonzero(~nonempty)[0]:
-            far = int(np.argmax(reseed_own))
-            new_centers[cid] = points[far]
-            reseed_own[far] = -1.0
-        shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
-        centers = new_centers
-        labels, own = _assign(points, centers)
-        if shift <= tol:
-            return labels, centers, float(own.sum()), it + 1
-    return labels, centers, float(own.sum()), max_iter
-
-
-def _lloyd_weighted(points: np.ndarray, w: np.ndarray, centers: np.ndarray,
-                    max_iter: int, tol: float):
+def _lloyd(points: np.ndarray, w: np.ndarray, centers: np.ndarray,
+           max_iter: int, tol: float):
     k = centers.shape[0]
     labels, own = _assign(points, centers)
     for it in range(max_iter):
@@ -281,6 +244,7 @@ def _lloyd_weighted(points: np.ndarray, w: np.ndarray, centers: np.ndarray,
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+        # an empty cluster is reseeded at the point farthest from its center
         reseed_own = own.copy()
         for cid in np.nonzero(~nonempty)[0]:
             far = int(np.argmax(reseed_own))
@@ -299,10 +263,12 @@ def kmeans(points, k: int, seed=0, restarts: int = 10,
     """k-means with k-means++ restarts; best inertia wins, ties keep the
     earliest restart. Fully deterministic given the seed.
 
-    Exactly coincident points (up to a relative 1e-12 quantization) are
-    collapsed to one weighted representative, so numerical noise can
-    never split them across clusters; inputs without duplicates take the
-    plain unweighted path.
+    There is one weighted path: exactly coincident points (up to a
+    relative 1e-12 quantization) are collapsed to one representative,
+    weighted by its copy count, so numerical noise can never split them
+    across clusters. Representatives keep the order of first occurrence,
+    so on input without duplicates every weight is 1 and the draws and
+    arithmetic are those of plain unweighted k-means++.
     """
     points = linalg.as_matrix(points, "points")
     if not isinstance(k, (int, np.integer)) or k < 1:
@@ -316,25 +282,17 @@ def kmeans(points, k: int, seed=0, restarts: int = 10,
     quant = np.round(points / scale, 12) if scale > 0.0 else points
     _, first_idx, inverse = np.unique(quant, axis=0, return_index=True,
                                       return_inverse=True)
+    # representatives in order of first occurrence, weighted by copy count
+    inverse = np.argsort(np.argsort(first_idx))[inverse.reshape(-1)]
+    reps = points[np.sort(first_idx)]
+    w = np.bincount(inverse).astype(np.float64)
     best = None
-    if first_idx.shape[0] < points.shape[0]:
-        reps = points[first_idx]
-        w = np.bincount(inverse).astype(np.float64)
-        for rs in range(restarts):
-            init = _pp_init_weighted(reps, w, k, rng)
-            labels_u, centers, inertia, iters = _lloyd_weighted(
-                reps, w, init, max_iter, tol)
-            if best is None or inertia < best.inertia:
-                best = KMeansResult(labels=labels_u[inverse], centers=centers,
-                                    inertia=inertia, best_restart=rs,
-                                    iterations=iters)
-        return best
     for rs in range(restarts):
-        init = _pp_init(points, k, rng)
-        labels, centers, inertia, iters = _lloyd(points, init, max_iter, tol)
+        init = _pp_init(reps, w, inverse, k, rng)
+        labels, centers, inertia, iters = _lloyd(reps, w, init, max_iter, tol)
         if best is None or inertia < best.inertia:
-            best = KMeansResult(labels=labels, centers=centers, inertia=inertia,
-                                best_restart=rs, iterations=iters)
+            best = KMeansResult(labels=labels[inverse], centers=centers,
+                                inertia=inertia, best_restart=rs, iterations=iters)
     return best
 
 
@@ -362,19 +320,13 @@ def partition(graph: BipartiteGraph, k: int, seed=0, restarts: int = 10) -> Part
     km = kmeans(z, k, seed=seed, restarts=restarts)
     labels_left = km.labels[: graph.n_left].copy()
     labels_right = km.labels[graph.n_left:].copy()
-    if graph.m:
-        same = labels_left[graph.edges[:, 0]] == labels_right[graph.edges[:, 1]]
-        kept = graph.edges[same]
-        dropped = graph.edges[~same]
-    else:
-        kept = np.empty((0, 2), dtype=np.int64)
-        dropped = np.empty((0, 2), dtype=np.int64)
+    same = labels_left[graph.edges[:, 0]] == labels_right[graph.edges[:, 1]]
     return Partition(
         labels_left=labels_left,
         labels_right=labels_right,
         k=int(k),
-        kept_edges=kept,
-        dropped_edges=dropped,
+        kept_edges=graph.edges[same],
+        dropped_edges=graph.edges[~same],
         inertia=km.inertia,
         l=info["l"],
         degenerate=info["degenerate"],

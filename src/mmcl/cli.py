@@ -84,10 +84,9 @@ def _cmd_fit(args) -> int:
         fit = solvers.fit_approx_infonce(ds, args.r, spec)
     elif args.method == "semi":
         pool = storage.load_dataset(args.unpaired)
-        tau = (schedule_tau(args.r, pool.x.shape[0])
-               if args.tau == "auto" else float(args.tau))
-        spec = LossSpec(phi="log", psi="exp", epsilon=args.epsilon, nu=args.nu,
-                        tau=tau, cn="n", rho=args.rho)
+        if args.tau == "auto":
+            args.tau = schedule_tau(args.r, pool.x.shape[0])
+        spec = _spec_from_args(args, "log", "exp", "n")
         validation = storage.load_dataset(args.validation) if args.validation else None
         fit = solvers.fit_semisupervised(ds, pool, args.r, spec,
                                          init_mode=args.init,
@@ -113,8 +112,8 @@ def _cmd_bsgmp(args) -> int:
     edges = storage.read_edge_csv(args.edges)
     if edges.shape[0] == 0:
         raise InvalidInput(f"no edges in {args.edges}")
-    n_left = args.n_left if args.n_left else int(edges[:, 0].max()) + 1
-    n_right = args.n_right if args.n_right else int(edges[:, 1].max()) + 1
+    n_left = args.n_left if args.n_left is not None else int(edges[:, 0].max()) + 1
+    n_right = args.n_right if args.n_right is not None else int(edges[:, 1].max()) + 1
     graph = bsgmp_mod.BipartiteGraph(n_left, n_right, edges)
     part = bsgmp_mod.partition(graph, args.k, seed=args.seed, restarts=args.restarts)
     storage.save_partition(args.out, part, args.seed, args.restarts)
@@ -148,8 +147,25 @@ def _cmd_exp(args) -> int:
     return CONFIG_EXIT_CODE if config else NUMERICAL_EXIT_CODE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one 'error: ...' line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(CONFIG_EXIT_CODE, f"error: {self.prog}: {message}\n")
+
+
+def _tau_or_auto(text: str):
+    """--tau of fit semi: a number, or 'auto' for the pool-size schedule."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number or 'auto', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmcl",
         description="Linear multimodal contrastive learning toolkit",
     )
@@ -163,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit encoders on a dataset directory")
     fitsub = fit.add_subparsers(dest="method", required=True)
 
-    def common(p, with_spec=False):
+    def common(p, with_spec=False, tau=("temperature", float, 1.0), nu=1.0):
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--r", type=int, required=True, help="target rank")
         p.add_argument("--rho", type=float, default=1.0, help="ridge penalty")
         if with_spec:
-            p.add_argument("--tau", type=float, default=1.0, help="temperature")
-            p.add_argument("--nu", type=float, default=1.0, help="margin multiplier")
+            p.add_argument("--tau", help=tau[0], type=tau[1], default=tau[2])
+            p.add_argument("--nu", type=float, default=nu, help="margin multiplier")
             p.add_argument("--epsilon", type=float, default=1.0,
                            help="diagonal weight inside the aggregate")
         p.set_defaults(func=_cmd_fit)
@@ -193,19 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ap.add_argument("--phi", choices=["log", "log1p"], default="log")
 
     p_semi = fitsub.add_parser("semi", help="two-step fit from paired plus unpaired data")
-    p_semi.add_argument("--data", required=True, help="paired dataset directory")
+    common(p_semi, with_spec=True, nu=2.0, tau=(
+        "temperature, or 'auto' for the pool-size schedule", _tau_or_auto, "auto"))
     p_semi.add_argument("--unpaired", required=True, help="unpaired dataset directory")
-    p_semi.add_argument("--out", required=True)
-    p_semi.add_argument("--r", type=int, required=True)
-    p_semi.add_argument("--rho", type=float, default=1.0)
-    p_semi.add_argument("--tau", default="auto",
-                        help="temperature, or 'auto' for the pool-size schedule")
-    p_semi.add_argument("--nu", type=float, default=2.0)
-    p_semi.add_argument("--epsilon", type=float, default=1.0)
     p_semi.add_argument("--init", choices=["linear", "infonce"], default="linear")
     p_semi.add_argument("--max-rounds", type=int, default=1)
     p_semi.add_argument("--validation", help="paired dataset directory for anchor updates")
-    p_semi.set_defaults(func=_cmd_fit)
 
     p_ss = fitsub.add_parser("sscl", help="single-modality masking baseline")
     common(p_ss)
@@ -240,16 +249,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT_CODE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT_CODE
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT_CODE
-    except np.linalg.LinAlgError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT_CODE
 

@@ -10,11 +10,14 @@ in the outputs depends on wall-clock time except the wall_time column,
 which comparisons are expected to exclude.
 """
 
+import itertools
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +26,6 @@ from . import bsgmp as bsgmp_mod
 from . import datagen, linalg, solvers, storage
 from .errors import InvalidInput, MmclError, DegenerateData
 from .losses import EncoderPair, LossSpec, loss_value, loss_gradient, schedule_tau
-
-EXPERIMENTS = ("distortion", "unpaired", "bsgmp", "gradcheck", "sscl-compare")
 
 METRIC_NAMES = (
     "sin_theta_g1",
@@ -178,14 +179,6 @@ def model_from_config(mc: dict) -> datagen.ModelParams:
                                 family=family, seed=seed)
 
 
-def _int_list(d: dict, path: str, minimum: int = 0):
-    vals = d.get(path.split(".")[-1])
-    if not isinstance(vals, list) or not vals or not all(
-            isinstance(v, int) and v >= minimum for v in vals):
-        raise InvalidInput(f"{path}: must be a nonempty list of integers >= {minimum}")
-    return vals
-
-
 def _int_option(opts: dict, name: str, default: int, minimum: int = 1,
                 where: str = "options.") -> int:
     val = opts.get(name, default)
@@ -209,142 +202,83 @@ def _float_option(opts: dict, name: str, default: float, lo: float = 0.0,
     return num
 
 
-def _float_list(d: dict, path: str, lo: float, hi: float):
-    vals = d.get(path.split(".")[-1])
-    if not isinstance(vals, list) or not vals or not all(
-            isinstance(v, (int, float)) and lo <= v <= hi for v in vals):
-        raise InvalidInput(f"{path}: must be a nonempty list of numbers in [{lo}, {hi}]")
-    return [float(v) for v in vals]
+def _grid(parse, **bounds):
+    """Parser of a sweep list: nonempty, each item checked by parse
+    (_int_option or _float_option) with the given bounds."""
+    def grid(sweep: dict, path: str) -> list:
+        vals = sweep.get(path.split(".")[-1])
+        if not isinstance(vals, list) or not vals:
+            raise InvalidInput(f"{path}: must be a nonempty list")
+        return [parse({path: v}, path, None, where="", **bounds) for v in vals]
+    return grid
 
 
-def _fit_flags(fit) -> str:
-    return ";".join(fit.flags)
-
-
-def _subspace_errors(enc: EncoderPair, model: datagen.ModelParams):
+def _subspace_errors(enc: EncoderPair, model: datagen.ModelParams, one_sided: bool = False):
+    """sin-theta of each encoder's row space against the true subspaces;
+    one_sided scores both encoders against the first view's subspace."""
     s1 = linalg.sin_theta(
         linalg.right_singular_subspace(enc.g1, model.r), linalg.Subspace(model.u1_star))
     s2 = linalg.sin_theta(
-        linalg.right_singular_subspace(enc.g2, model.r), linalg.Subspace(model.u2_star))
+        linalg.right_singular_subspace(enc.g2, model.r),
+        linalg.Subspace(model.u1_star if one_sided else model.u2_star))
     return s1, s2
 
 
-def _trials_distortion(cfg: ExperimentConfig, model: datagen.ModelParams):
-    n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
-    p_grid = _float_list(cfg.sweep, "sweep.p_grid", 0.0, 1.0)
-    rho = _float_option(cfg.options, "rho", 1.0)
+def _distortion_trial(model, opts, n, p, seed):
+    ds = datagen.sample_paired(model, n, p, seed=[1, seed, n, int(round(p * 1e6))])
+    fit = solvers.fit_linear_closed_form(ds, model.r, opts["rho"])
+    s1, s2 = _subspace_errors(fit.enc, model)
     er1, er2 = model.noise_effective_ranks()
-    trials = []
-    for n in n_grid:
-        for p in p_grid:
-            for seed in cfg.seeds:
-                def fn(n=n, p=p, seed=seed):
-                    ds = datagen.sample_paired(
-                        model, n, p, seed=[1, seed, n, int(round(p * 1e6))])
-                    fit = solvers.fit_linear_closed_form(ds, model.r, rho)
-                    s1, s2 = _subspace_errors(fit.enc, model)
-                    bound = theory_bound(n, model.r, er1, er2,
-                                         model.d1, model.d2, eta=max(1.0 - p, 1e-9))
-                    return {"sin_theta_g1": s1, "sin_theta_g2": s2,
-                            "bound_value": bound, "_flags": _fit_flags(fit)}
-                trials.append(({"n": n, "p": p, "seed": seed}, fn))
-    return trials
+    bound = theory_bound(n, model.r, er1, er2, model.d1, model.d2, eta=max(1.0 - p, 1e-9))
+    return {"sin_theta_g1": s1, "sin_theta_g2": s2, "bound_value": bound,
+            "_flags": ";".join(fit.flags)}
 
 
-def _trials_unpaired(cfg: ExperimentConfig, model: datagen.ModelParams):
-    n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
-    ratio_grid = _int_list(cfg.sweep, "sweep.ratio_grid", minimum=1)
-    opts = cfg.options
-    nu = _float_option(opts, "nu", 2.0, lo=1.0, lo_open=False)
-    rho = _float_option(opts, "rho", 1.0)
-    tau_opt = opts.get("tau", "auto")
-    if tau_opt != "auto":
-        tau_opt = _float_option(opts, "tau", 1.0)
-    tau_scale = _float_option(opts, "tau_scale", 1.0)
-    init_mode = opts.get("init", "linear")
-    if init_mode not in ("linear", "infonce"):
-        raise InvalidInput(f"options.init: must be 'linear' or 'infonce', got {init_mode!r}")
-    trials = []
-    for n in n_grid:
-        for ratio in ratio_grid:
-            for seed in cfg.seeds:
-                def fn(n=n, ratio=ratio, seed=seed):
-                    paired = datagen.sample_paired(model, n, 0.0, seed=[11, seed, n, ratio])
-                    pool = datagen.sample_unpaired(model, n * ratio, seed=[13, seed, n, ratio])
-                    if tau_opt == "auto":
-                        tau = schedule_tau(model.r, n * ratio, scale=tau_scale)
-                    else:
-                        tau = tau_opt
-                    spec = LossSpec(phi="log", psi="exp", epsilon=1.0, nu=nu,
-                                    tau=tau, cn="n", rho=rho)
-                    fit = solvers.fit_semisupervised(paired, pool, model.r, spec,
-                                                     init_mode=init_mode)
-                    s1, s2 = _subspace_errors(fit.enc, model)
-                    prec, rec = edge_metrics(fit.meta["edges"], pool.truth_edges)
-                    return {"sin_theta_g1": s1, "sin_theta_g2": s2,
-                            "edge_precision": prec, "edge_recall": rec,
-                            "_flags": _fit_flags(fit)}
-                trials.append(({"n": n, "ratio": ratio, "seed": seed}, fn))
-    return trials
+def _unpaired_trial(model, opts, n, ratio, seed):
+    paired = datagen.sample_paired(model, n, 0.0, seed=[11, seed, n, ratio])
+    pool = datagen.sample_unpaired(model, n * ratio, seed=[13, seed, n, ratio])
+    tau = opts["tau"]
+    if tau == "auto":
+        tau = schedule_tau(model.r, n * ratio, scale=opts["tau_scale"])
+    spec = LossSpec(phi="log", psi="exp", epsilon=1.0, nu=opts["nu"],
+                    tau=tau, cn="n", rho=opts["rho"])
+    fit = solvers.fit_semisupervised(paired, pool, model.r, spec, init_mode=opts["init"])
+    s1, s2 = _subspace_errors(fit.enc, model)
+    prec, rec = edge_metrics(fit.meta["edges"], pool.truth_edges)
+    return {"sin_theta_g1": s1, "sin_theta_g2": s2,
+            "edge_precision": prec, "edge_recall": rec, "_flags": ";".join(fit.flags)}
 
 
-def _trials_bsgmp(cfg: ExperimentConfig, model: datagen.ModelParams):
-    sweep = cfg.sweep
-    k_grid = sweep.get("k_grid")
-    ok = isinstance(k_grid, list) and k_grid and all(
-        (isinstance(k, int) and k >= 2) or k == "none" for k in k_grid)
-    if not ok:
-        raise InvalidInput("sweep.k_grid: must be a nonempty list of integers >= 2 or 'none'")
-    pp_grid = _float_list(sweep, "sweep.p_prime_grid", 0.0, 1.0)
-    opts = cfg.options
-    k_true = _int_option(opts, "k_true", 10, minimum=2)
-    n_per = _int_option(opts, "n_per_cluster", 50)
-    n_test = _int_option(opts, "n_test_per_cluster", 20)
-    restarts = _int_option(opts, "restarts", 10)
-    rho = _float_option(opts, "rho", 1.0)
-    fit_rank = _int_option(opts, "fit_rank", model.r)
-    within = _float_option(opts, "within_scale", 0.5, lo_open=False)
-    trials = []
-    for k in k_grid:
-        for pp in pp_grid:
-            for seed in cfg.seeds:
-                def fn(k=k, pp=pp, seed=seed):
-                    pkey = int(round(pp * 1e6))
-                    train = datagen.sample_labeled_bipartite(
-                        model, n_per, k_true, pp, seed=[17, seed, pkey],
-                        within_scale=within)
-                    test = datagen.sample_labeled_bipartite(
-                        model, n_test, k_true, 0.0, seed=[19, seed, pkey],
-                        centers=train.centers, within_scale=within)
-                    flags = []
-                    if k == "none":
-                        kept = train.edges
-                    else:
-                        graph = bsgmp_mod.BipartiteGraph(
-                            train.n_left, train.n_right, train.edges)
-                        part = bsgmp_mod.partition(graph, k, seed=[23, seed, pkey, k],
-                                                   restarts=restarts)
-                        kept = part.kept_edges
-                        if part.degenerate:
-                            flags.append("degenerate-embedding")
-                    if kept.shape[0] < 2:
-                        raise DegenerateData("fewer than 2 kept edges")
-                    pairs = sample_partners(kept, np.random.default_rng([41, seed, pkey]))
-                    if pairs.shape[0] < 2:
-                        raise DegenerateData("fewer than 2 sampled pairs")
-                    pair_data = SimpleNamespace(x=train.x[pairs[:, 0]],
-                                                xt=train.xt[pairs[:, 1]])
-                    fit = solvers.fit_linear_closed_form(pair_data, fit_rank, rho)
-                    acc = downstream_accuracy(fit.enc, test)
-                    same = train.labels_x[:, None] == train.labels_xt[None, :]
-                    ii, jj = np.nonzero(same)
-                    truth_pairs = np.stack([ii, jj], axis=1)
-                    prec, rec = edge_metrics(kept, truth_pairs)
-                    flags.extend(fit.flags)
-                    return {"downstream_accuracy": acc, "edge_precision": prec,
-                            "edge_recall": rec, "_flags": ";".join(flags)}
-                trials.append(({"k": str(k), "p_prime": pp, "seed": seed}, fn))
-    return trials
+def _bsgmp_trial(model, opts, k, p_prime, seed):
+    pkey = int(round(p_prime * 1e6))
+    train = datagen.sample_labeled_bipartite(
+        model, opts["n_per_cluster"], opts["k_true"], p_prime, seed=[17, seed, pkey],
+        within_scale=opts["within_scale"])
+    test = datagen.sample_labeled_bipartite(
+        model, opts["n_test_per_cluster"], opts["k_true"], 0.0, seed=[19, seed, pkey],
+        centers=train.centers, within_scale=opts["within_scale"])
+    flags = []
+    if k == "none":
+        kept = train.edges
+    else:
+        graph = bsgmp_mod.BipartiteGraph(train.n_left, train.n_right, train.edges)
+        part = bsgmp_mod.partition(graph, int(k), seed=[23, seed, pkey, int(k)],
+                                   restarts=opts["restarts"])
+        kept = part.kept_edges
+        if part.degenerate:
+            flags.append("degenerate-embedding")
+    if kept.shape[0] < 2:
+        raise DegenerateData("fewer than 2 kept edges")
+    pairs = sample_partners(kept, np.random.default_rng([41, seed, pkey]))
+    if pairs.shape[0] < 2:
+        raise DegenerateData("fewer than 2 sampled pairs")
+    pair_data = SimpleNamespace(x=train.x[pairs[:, 0]], xt=train.xt[pairs[:, 1]])
+    fit = solvers.fit_linear_closed_form(pair_data, opts["fit_rank"], opts["rho"])
+    acc = downstream_accuracy(fit.enc, test)
+    prec, rec = edge_metrics(kept, np.argwhere(train.labels_x[:, None] == train.labels_xt))
+    flags.extend(fit.flags)
+    return {"downstream_accuracy": acc, "edge_precision": prec,
+            "edge_recall": rec, "_flags": ";".join(flags)}
 
 
 GRADCHECK_SPECS = {
@@ -366,12 +300,8 @@ def finite_difference_gradient(spec: LossSpec, enc: EncoderPair, data, h: float 
             plus[idx] += h
             minus = base.copy()
             minus[idx] -= h
-            if which == "g1":
-                up = loss_value(spec, EncoderPair(g1=plus, g2=enc.g2), data)
-                dn = loss_value(spec, EncoderPair(g1=minus, g2=enc.g2), data)
-            else:
-                up = loss_value(spec, EncoderPair(g1=enc.g1, g2=plus), data)
-                dn = loss_value(spec, EncoderPair(g1=enc.g1, g2=minus), data)
+            up = loss_value(spec, replace(enc, **{which: plus}), data)
+            dn = loss_value(spec, replace(enc, **{which: minus}), data)
             g[idx] = (up - dn) / (2.0 * h)
         grads.append(g)
     return grads[0], grads[1]
@@ -386,113 +316,167 @@ def gradient_residual(spec: LossSpec, enc: EncoderPair, data, h: float = 1e-5) -
     return max(r1, r2)
 
 
-def _trials_gradcheck(cfg: ExperimentConfig, model: datagen.ModelParams):
-    n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
-    opts = cfg.options
-    h = _float_option(opts, "h", 1e-5)
-    enc_rank = _int_option(opts, "enc_rank", 2)
-    names = opts.get("losses", list(GRADCHECK_SPECS))
+def _gradcheck_trial(model, opts, n, loss, seed):
+    rng = np.random.default_rng([29, seed, n, opts["losses"].index(loss)])
+    x = rng.standard_normal((n, model.d1))
+    xt = rng.standard_normal((n, model.d2))
+    enc = EncoderPair(g1=0.5 * rng.standard_normal((opts["enc_rank"], model.d1)),
+                      g2=0.5 * rng.standard_normal((opts["enc_rank"], model.d2)))
+    return {"residual": gradient_residual(GRADCHECK_SPECS[loss], enc, (x, xt), h=opts["h"])}
+
+
+def _add_noise_spikes(model: datagen.ModelParams, opts: dict,
+                      model_cfg: dict) -> datagen.ModelParams:
+    """Add options.noise_spikes rank-one nuisance directions, of scale
+    options.noise_spike_scale, to each view's noise covariance."""
+    count, scale = opts["noise_spikes"], opts["noise_spike_scale"]
+    if not count:
+        return model
+    seed = int(model_cfg.get("seed", 0))
+    sigmas = []
+    for view, sigma in ((1, model.sigma_xi), (2, model.sigma_xit)):
+        rng = np.random.default_rng([43, seed, view])
+        for _ in range(count):
+            v = rng.standard_normal(sigma.shape[0])
+            v /= np.linalg.norm(v)
+            sigma = sigma + (scale ** 2) * np.outer(v, v)
+        sigmas.append(sigma)
+    return replace(model, sigma_xi=sigmas[0], sigma_xit=sigmas[1])
+
+
+def _sscl_trial(model, opts, n, method, seed):
+    """mmcl fits the paired views; sscl and sscl-mc (k_draws sampled masks)
+    fit the masking baseline on the first view alone."""
+    ds = datagen.sample_paired(model, n, opts["p"], seed=[31, seed, n])
+    if method == "mmcl":
+        fit = solvers.fit_linear_closed_form(ds, model.r, opts["rho"])
+    else:
+        fit = solvers.fit_sscl_baseline(ds.x, model.r, opts["rho"], mode="expected")
+    metrics = {}
+    if method == "sscl-mc":
+        s_exp = fit.meta["contrast_matrix"]
+        fit = solvers.fit_sscl_baseline(ds.x, model.r, opts["rho"], mode="sampled",
+                                        k_draws=opts["k_draws"], seed=[37, seed, n])
+        s_mc = fit.meta["contrast_matrix"]
+        metrics["residual"] = float(np.linalg.norm(s_exp - s_mc, 2)
+                                    / max(np.linalg.norm(s_exp, 2), 1e-300))
+    s1, s2 = _subspace_errors(fit.enc, model, one_sided=method != "mmcl")
+    return {"sin_theta_g1": s1, "sin_theta_g2": s2, **metrics, "_flags": ";".join(fit.flags)}
+
+
+def _k_value(opts, name, default, where, minimum):
+    """A cluster count, as a string, or 'none' for no partitioning."""
+    val = opts[name]
+    return val if val == "none" else str(_int_option(opts, name, default, minimum, where))
+
+
+_N_GRID = _grid(_int_option, minimum=2)
+_UNIT_GRID = _grid(_float_option, lo=0.0, hi=1.0, lo_open=False)
+
+
+def _int(default, minimum=1):
+    return lambda opts, name, model: _int_option(opts, name, default, minimum)
+
+
+def _float(default, **bounds):
+    return lambda opts, name, model: _float_option(opts, name, default, **bounds)
+
+
+def _tau(opts, name, model):
+    return "auto" if opts.get(name, "auto") == "auto" else _float_option(opts, name, 1.0)
+
+
+def _init(opts, name, model):
+    val = opts.get(name, "linear")
+    if val not in ("linear", "infonce"):
+        raise InvalidInput(f"options.{name}: must be 'linear' or 'infonce', got {val!r}")
+    return val
+
+
+def _losses(opts, name, model):
+    names = opts.get(name, list(GRADCHECK_SPECS))
     if not isinstance(names, list) or not all(
-            isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in names):
-        raise InvalidInput(f"options.losses: must be a list from {sorted(GRADCHECK_SPECS)}")
-    trials = []
-    for n in n_grid:
-        for li, name in enumerate(names):
-            for seed in cfg.seeds:
-                def fn(n=n, name=name, li=li, seed=seed):
-                    rng = np.random.default_rng([29, seed, n, li])
-                    x = rng.standard_normal((n, model.d1))
-                    xt = rng.standard_normal((n, model.d2))
-                    enc = EncoderPair(
-                        g1=0.5 * rng.standard_normal((enc_rank, model.d1)),
-                        g2=0.5 * rng.standard_normal((enc_rank, model.d2)))
-                    res = gradient_residual(GRADCHECK_SPECS[name], enc, (x, xt), h=h)
-                    return {"residual": res}
-                trials.append(({"n": n, "loss": name, "seed": seed}, fn))
-    return trials
+            isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in names) or len(
+            set(names)) < len(names):
+        raise InvalidInput(
+            f"options.{name}: must be a list of distinct names from {sorted(GRADCHECK_SPECS)}")
+    return names
 
 
-def _add_noise_spikes(model: datagen.ModelParams, count: int, scale: float,
-                      seed: int) -> datagen.ModelParams:
-    """Add rank-one nuisance directions to each view's noise covariance."""
-    rng1 = np.random.default_rng([43, seed, 1])
-    rng2 = np.random.default_rng([43, seed, 2])
-    s1 = model.sigma_xi.copy()
-    s2 = model.sigma_xit.copy()
-    for _ in range(count):
-        v = rng1.standard_normal(s1.shape[0])
-        v /= np.linalg.norm(v)
-        s1 = s1 + (scale ** 2) * np.outer(v, v)
-        w = rng2.standard_normal(s2.shape[0])
-        w /= np.linalg.norm(w)
-        s2 = s2 + (scale ** 2) * np.outer(w, w)
-    return datagen.ModelParams(
-        u1_star=model.u1_star, u2_star=model.u2_star,
-        sigma_z=model.sigma_z, sigma_zt=model.sigma_zt,
-        sigma_xi=s1, sigma_xit=s2, family=model.family)
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: trial(model, opts, **params) -> metrics; parsers
+    for each sweep key, (sweep, path) -> values, and each option, (options,
+    name, model) -> value; axes (param, source), outermost first, where a
+    source is a sweep key, an option, "seeds" or a tuple of values; and
+    prepare(model, opts, model section) -> model, run once per sweep."""
+
+    trial: Callable
+    sweep: dict
+    options: dict
+    axes: tuple
+    prepare: Callable | None = None
 
 
-def _trials_sscl(cfg: ExperimentConfig, model: datagen.ModelParams):
-    n_grid = _int_list(cfg.sweep, "sweep.n_grid", minimum=2)
-    opts = cfg.options
-    p = _float_option(opts, "p", 0.2, hi=1.0, lo_open=False)
-    rho = _float_option(opts, "rho", 1.0)
-    k_draws = _int_option(opts, "k_draws", 2000)
-    spikes = _int_option(opts, "noise_spikes", 0, minimum=0)
-    spike_scale = _float_option(opts, "noise_spike_scale", 1.0)
-    if spikes:
-        model = _add_noise_spikes(model, spikes, spike_scale,
-                                  int(cfg.model.get("seed", 0)))
-    u1 = linalg.Subspace(model.u1_star)
-
-    def one_sided(enc: EncoderPair):
-        s1 = linalg.sin_theta(linalg.right_singular_subspace(enc.g1, model.r), u1)
-        s2 = linalg.sin_theta(linalg.right_singular_subspace(enc.g2, model.r), u1)
-        return s1, s2
-
-    trials = []
-    for n in n_grid:
-        for seed in cfg.seeds:
-            def fn_mm(n=n, seed=seed):
-                ds = datagen.sample_paired(model, n, p, seed=[31, seed, n])
-                fit = solvers.fit_linear_closed_form(ds, model.r, rho)
-                s1, s2 = _subspace_errors(fit.enc, model)
-                return {"sin_theta_g1": s1, "sin_theta_g2": s2,
-                        "_flags": _fit_flags(fit)}
-
-            def fn_ss(n=n, seed=seed):
-                ds = datagen.sample_paired(model, n, p, seed=[31, seed, n])
-                fit = solvers.fit_sscl_baseline(ds.x, model.r, rho, mode="expected")
-                s1, s2 = one_sided(fit.enc)
-                return {"sin_theta_g1": s1, "sin_theta_g2": s2,
-                        "_flags": _fit_flags(fit)}
-
-            def fn_mc(n=n, seed=seed):
-                ds = datagen.sample_paired(model, n, p, seed=[31, seed, n])
-                exp_fit = solvers.fit_sscl_baseline(ds.x, model.r, rho, mode="expected")
-                mc_fit = solvers.fit_sscl_baseline(ds.x, model.r, rho, mode="sampled",
-                                                   k_draws=k_draws, seed=[37, seed, n])
-                s_exp = exp_fit.meta["contrast_matrix"]
-                s_mc = mc_fit.meta["contrast_matrix"]
-                resid = float(np.linalg.norm(s_exp - s_mc, 2)
-                              / max(np.linalg.norm(s_exp, 2), 1e-300))
-                s1, s2 = one_sided(mc_fit.enc)
-                return {"sin_theta_g1": s1, "sin_theta_g2": s2, "residual": resid,
-                        "_flags": _fit_flags(mc_fit)}
-
-            trials.append(({"n": n, "method": "mmcl", "seed": seed}, fn_mm))
-            trials.append(({"n": n, "method": "sscl", "seed": seed}, fn_ss))
-            trials.append(({"n": n, "method": "sscl-mc", "seed": seed}, fn_mc))
-    return trials
-
-
-_BUILDERS = {
-    "distortion": _trials_distortion,
-    "unpaired": _trials_unpaired,
-    "bsgmp": _trials_bsgmp,
-    "gradcheck": _trials_gradcheck,
-    "sscl-compare": _trials_sscl,
+TRIAL_TABLE = {
+    "distortion": Experiment(
+        _distortion_trial,
+        sweep={"n_grid": _N_GRID, "p_grid": _UNIT_GRID},
+        options={"rho": _float(1.0)},
+        axes=(("n", "n_grid"), ("p", "p_grid"), ("seed", "seeds"))),
+    "unpaired": Experiment(
+        _unpaired_trial,
+        sweep={"n_grid": _N_GRID, "ratio_grid": _grid(_int_option, minimum=1)},
+        options={"nu": _float(2.0, lo=1.0, lo_open=False), "rho": _float(1.0), "tau": _tau,
+                 "tau_scale": _float(1.0), "init": _init},
+        axes=(("n", "n_grid"), ("ratio", "ratio_grid"), ("seed", "seeds"))),
+    "bsgmp": Experiment(
+        _bsgmp_trial,
+        sweep={"k_grid": _grid(_k_value, minimum=2), "p_prime_grid": _UNIT_GRID},
+        options={"k_true": _int(10, minimum=2), "n_per_cluster": _int(50),
+                 "n_test_per_cluster": _int(20), "restarts": _int(10), "rho": _float(1.0),
+                 "fit_rank": lambda opts, name, model: _int_option(opts, name, model.r),
+                 "within_scale": _float(0.5, lo_open=False)},
+        axes=(("k", "k_grid"), ("p_prime", "p_prime_grid"), ("seed", "seeds"))),
+    "gradcheck": Experiment(
+        _gradcheck_trial,
+        sweep={"n_grid": _N_GRID},
+        options={"h": _float(1e-5), "enc_rank": _int(2), "losses": _losses},
+        axes=(("n", "n_grid"), ("loss", "losses"), ("seed", "seeds"))),
+    "sscl-compare": Experiment(
+        _sscl_trial,
+        sweep={"n_grid": _N_GRID},
+        options={"p": _float(0.2, hi=1.0, lo_open=False), "rho": _float(1.0),
+                 "k_draws": _int(2000), "noise_spikes": _int(0, minimum=0),
+                 "noise_spike_scale": _float(1.0)},
+        axes=(("n", "n_grid"), ("seed", "seeds"), ("method", ("mmcl", "sscl", "sscl-mc"))),
+        prepare=_add_noise_spikes),
 }
+
+EXPERIMENTS = tuple(TRIAL_TABLE)
+
+
+def _trials(cfg: ExperimentConfig, model: datagen.ModelParams):
+    """(params, trial) for every sweep point and seed; every sweep key and
+    option is checked and parsed before any trial runs."""
+    table = TRIAL_TABLE[cfg.experiment]
+    for section, given, schema in (("sweep", cfg.sweep, table.sweep),
+                                   ("options", cfg.options, table.options)):
+        unknown = set(given) - set(schema)
+        if unknown:
+            raise InvalidInput(f"{section}: unknown fields {sorted(unknown)}")
+    values = {key: parse(cfg.sweep, f"sweep.{key}") for key, parse in table.sweep.items()}
+    opts = {name: parse(cfg.options, name, model) for name, parse in table.options.items()}
+    values.update(opts, seeds=cfg.seeds)
+    if table.prepare is not None:
+        model = table.prepare(model, opts, cfg.model)
+    trials = []
+    for point in itertools.product(*(values[src] if isinstance(src, str) else src
+                                     for _, src in table.axes)):
+        params = dict(zip((name for name, _ in table.axes), point))
+        params["seed"] = params.pop("seed")  # the last column before the metrics
+        trials.append((params, partial(table.trial, model, opts, **params)))
+    return trials
 
 
 def _worker_count() -> int:
@@ -524,7 +508,7 @@ def run_trials(config: ExperimentConfig) -> list[MetricRow]:
     sweep keeps going. MMCL_THREADS caps the worker pool (default 1).
     """
     model = model_from_config(config.model)
-    trials = _BUILDERS[config.experiment](config, model)
+    trials = _trials(config, model)
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

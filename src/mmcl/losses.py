@@ -12,6 +12,7 @@ assembles the same alpha tables into a per-entry weight matrix instead,
 which gives an independent route to the same derivative.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,10 @@ class LossSpec:
     rho: float = 1.0
 
     def __post_init__(self):
+        for name in ("epsilon", "nu", "tau", "rho"):
+            val = getattr(self, name)
+            if not isinstance(val, numbers.Real) or not np.isfinite(val):
+                raise InvalidInput(f"{name} must be a finite number, got {val!r}")
         if self.phi not in PHI_NAMES:
             raise InvalidInput(f"phi must be one of {PHI_NAMES}, got {self.phi!r}")
         if self.psi not in PSI_NAMES:
@@ -360,16 +365,14 @@ def contrastive_cross_covariance(weights: ContrastiveWeights, x, xt, c_n) -> np.
         cn = float(c_n)
         if not cn > 0:
             raise InvalidInput(f"normalizer must be positive, got {c_n}")
+    if weights.beta_off.shape != (n, xt.shape[0]):
+        raise InvalidInput("weight table does not match the data shape")
     if weights.mode == "paired":
-        if weights.beta_off.shape != (n, xt.shape[0]):
-            raise InvalidInput("weight table does not match the data shape")
         mixed = weights.beta_diag[:, None] * xt - weights.beta_off @ xt
         return (x.T @ mixed) / cn
     if weights.mode == "unpaired":
         if weights.edges is None or weights.nu is None:
             raise InvalidInput("unpaired weights must carry a pair set and nu")
-        if weights.beta_off.shape != (n, xt.shape[0]):
-            raise InvalidInput("weight table does not match the data shape")
         pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
         return (weights.nu * pair_term - x.T @ (weights.beta_off @ xt)) / cn
     raise InvalidInput(f"unknown weights mode {weights.mode!r}")

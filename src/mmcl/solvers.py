@@ -51,21 +51,27 @@ class FitResult:
     meta: dict = field(default_factory=dict)
 
 
-def _realize(u_r: np.ndarray, s_r: np.ndarray, v_r: np.ndarray, scale: float):
-    c = np.sqrt(scale * s_r)
-    enc = EncoderPair(g1=c[:, None] * u_r.T, g2=c[:, None] * v_r.T)
-    product = (u_r * (scale * s_r)) @ v_r.T
-    return enc, product
+def _truncated_fit(mat: np.ndarray, r: int, scale: float):
+    """Encoders realizing the top-r SVD of mat scaled by scale.
 
-
-def _truncate(mat: np.ndarray, r: int):
-    """Top-r SVD triple plus a degenerate-gap indicator."""
+    Returns (enc, product, top-r singular values, flags); flags holds
+    "degenerate-gap" when the r-th singular gap is (near) zero.
+    """
     res = linalg.svd(mat)
     if r < 1 or r > res.s.shape[0]:
         raise InvalidRank(f"rank {r} not in [1, {res.s.shape[0]}] for shape {mat.shape}")
     s_next = res.s[r] if r < res.s.shape[0] else 0.0
-    degenerate = bool(res.s[r - 1] - s_next <= linalg.GAP_TOL)
-    return res.u[:, :r], res.s[:r].copy(), res.v[:, :r], degenerate
+    flags = ("degenerate-gap",) if res.s[r - 1] - s_next <= linalg.GAP_TOL else ()
+    u_r, s_r, v_r = res.u[:, :r], res.s[:r].copy(), res.v[:, :r]
+    c = np.sqrt(scale * s_r)
+    enc = EncoderPair(g1=c[:, None] * u_r.T, g2=c[:, None] * v_r.T)
+    product = (u_r * (scale * s_r)) @ v_r.T
+    return enc, product, s_r, flags
+
+
+def _linear_objective(product: np.ndarray, s_mat: np.ndarray, rho: float) -> float:
+    """-<product, s_mat> + rho / 2 * ||product||^2, the linear loss in closed form."""
+    return float(-np.sum(product * s_mat) + 0.5 * rho * np.sum(product**2))
 
 
 def centered_cross_covariance(x, xt) -> np.ndarray:
@@ -86,15 +92,13 @@ def centered_cross_covariance(x, xt) -> np.ndarray:
 def fit_linear_closed_form(data, r: int, rho: float = 1.0) -> FitResult:
     """Minimizer of the linear contrastive loss: truncated SVD of the
     centered cross-covariance, scaled by 1 / rho."""
-    if not rho > 0:
-        raise InvalidInput(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise InvalidInput(f"rho must be positive and finite, got {rho}")
     sbar = centered_cross_covariance(data.x, data.xt)
-    u_r, s_r, v_r, degenerate = _truncate(sbar, r)
-    enc, product = _realize(u_r, s_r, v_r, 1.0 / rho)
-    flags = ("degenerate-gap",) if degenerate else ()
+    enc, product, s_r, flags = _truncated_fit(sbar, r, 1.0 / rho)
     # the linear loss reduces exactly to -<product, sbar> plus the ridge,
     # which avoids materializing the n x n similarity matrix
-    final = float(-np.sum(product * sbar) + 0.5 * rho * np.sum(product**2))
+    final = _linear_objective(product, sbar, rho)
     meta = {"singular_values": s_r}
     return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
                      trace=None, flags=flags, meta=meta)
@@ -188,9 +192,7 @@ def fit_approx_infonce(data, r: int, spec: LossSpec,
     sims = similarity_matrix(init, data.x, data.xt)
     weights = compute_weights(spec, sims)
     s_mat = contrastive_cross_covariance(weights, data.x, data.xt, spec.cn)
-    u_r, s_r, v_r, degenerate = _truncate(s_mat, r)
-    enc, product = _realize(u_r, s_r, v_r, 1.0)
-    flags = ("degenerate-gap",) if degenerate else ()
+    enc, product, s_r, flags = _truncated_fit(s_mat, r, 1.0)
     final = loss_value(spec, enc, data)
     meta = {
         "singular_values": s_r,
@@ -317,13 +319,11 @@ def fit_semisupervised(
         est = estimate_edges(sims_u)
         weights = unpaired_weights(sims_u, spec.tau, spec.nu, est.edges)
         s_hat = contrastive_cross_covariance(weights, xu, xtu, "n")
-        u_r, s_r, v_r, degenerate = _truncate(s_hat, r)
-        enc, product = _realize(u_r, s_r, v_r, 1.0 / spec.rho)
-        round_flags = tuple(flags) + (("degenerate-gap",) if degenerate else ())
+        enc, product, s_r, gap_flags = _truncated_fit(s_hat, r, 1.0 / spec.rho)
         result = FitResult(
             enc=enc, product=product, iterations=0,
             final_loss=loss_value(spec, enc, paired),
-            trace=None, flags=round_flags,
+            trace=None, flags=tuple(flags) + gap_flags,
             meta={"singular_values": s_r},
         )
         rounds_run += 1
@@ -367,8 +367,8 @@ def fit_sscl_baseline(
     x = linalg.as_matrix(x, "x")
     if x.shape[0] < 2:
         raise InvalidInput("need at least 2 samples")
-    if not rho > 0:
-        raise InvalidInput(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:
+        raise InvalidInput(f"rho must be positive and finite, got {rho}")
     xc = x - x.mean(axis=0)
     if not np.any(xc):
         raise DegenerateData("all samples identical")
@@ -384,12 +384,10 @@ def fit_sscl_baseline(
         s_mask = second * pair_freq
     else:
         raise InvalidInput(f"mode must be 'expected' or 'sampled', got {mode!r}")
-    u_r, s_r, v_r, degenerate = _truncate(s_mask, r)
-    enc, product = _realize(u_r, s_r, v_r, 1.0 / rho)
-    flags = ("degenerate-gap",) if degenerate else ()
+    enc, product, s_r, flags = _truncated_fit(s_mask, r, 1.0 / rho)
     if not np.any(s_mask):
         flags = flags + ("degenerate-masked-covariance",)
-    final = float(-np.sum(product * s_mask) + 0.5 * rho * np.sum(product**2))
+    final = _linear_objective(product, s_mask, rho)
     meta = {"singular_values": s_r, "mode": mode, "contrast_matrix": s_mask}
     return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
                      trace=None, flags=flags, meta=meta)

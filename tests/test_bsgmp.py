@@ -264,6 +264,48 @@ class TestLeadingSingularBlock:
         assert np.all(np.any(z[~isolated] != 0.0, axis=1))
 
 
+def reference_kmeans(points, k, seed, restarts, max_iter=100, tol=1e-12):
+    """Plain unweighted k-means++ with Lloyd iterations, the loop kmeans
+    reduces to on input without duplicate points: (labels, centers,
+    inertia, best_restart, iterations) of the best restart."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    best = None
+    for rs in range(restarts):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[int(rng.integers(n))]
+        d2 = np.sum((points - centers[0]) ** 2, axis=1)
+        for c in range(1, k):
+            total = d2.sum()
+            idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+            centers[c] = points[idx]
+            d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        labels, own = bsgmp._assign(points, centers)
+        iters = max_iter
+        for it in range(max_iter):
+            sums = np.zeros_like(centers)
+            np.add.at(sums, labels, points)
+            counts = np.bincount(labels, minlength=k).astype(np.float64)
+            new_centers = centers.copy()
+            nonempty = counts > 0
+            new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
+            reseed_own = own.copy()
+            for cid in np.nonzero(~nonempty)[0]:
+                far = int(np.argmax(reseed_own))
+                new_centers[cid] = points[far]
+                reseed_own[far] = -1.0
+            shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
+            centers = new_centers
+            labels, own = bsgmp._assign(points, centers)
+            if shift <= tol:
+                iters = it + 1
+                break
+        inertia = float(own.sum())
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia, rs, iters)
+    return best
+
+
 class TestKmeans:
     def test_exact_atoms(self):
         # Duplicated points collapse onto three atoms; k-means must place
@@ -294,6 +336,39 @@ class TestKmeans:
         points = centers[truth] + 0.1 * rng.standard_normal((60, 2))
         res = bsgmp.kmeans(points, 3, seed=0, restarts=8)
         assert adjusted_rand_index(res.labels, truth) == 1.0
+
+    def test_matches_unweighted_reference_without_duplicates(self):
+        # Unit weights and first-occurrence order make the one weighted
+        # path draw and compute exactly what plain k-means++ does.
+        for t in range(120):
+            rng = np.random.default_rng([61, t])
+            n = int(rng.integers(5, 60))
+            k = int(rng.integers(1, min(n, 7) + 1))
+            points = rng.standard_normal((n, int(rng.integers(1, 5)))) * rng.uniform(0.01, 50)
+            if t % 4 == 0:
+                points[: n // 2] += 5.0  # two separated groups
+            restarts = int(rng.integers(1, 5))
+            labels, centers, inertia, best_restart, iters = reference_kmeans(
+                points, k, [t, 3], restarts)
+            res = bsgmp.kmeans(points, k, seed=[t, 3], restarts=restarts)
+            assert np.array_equal(res.labels, labels)
+            assert np.array_equal(res.centers, centers)
+            assert res.inertia == inertia
+            assert res.best_restart == best_restart
+            assert res.iterations == iters
+
+    def test_duplicates_share_a_label_and_count_in_the_inertia(self):
+        for t in range(40):
+            rng = np.random.default_rng([67, t])
+            atoms = rng.standard_normal((int(rng.integers(3, 15)), 3))
+            group = rng.integers(0, atoms.shape[0], size=int(rng.integers(20, 60)))
+            points = atoms[group]
+            k = int(rng.integers(1, min(np.unique(group).size, 5) + 1))
+            res = bsgmp.kmeans(points, k, seed=t, restarts=3)
+            for g in np.unique(group):
+                assert np.ptp(res.labels[group == g]) == 0
+            expanded = np.sum((points - res.centers[res.labels]) ** 2)
+            assert res.inertia == pytest.approx(expanded, rel=1e-9, abs=1e-12)
 
     def test_validation(self):
         points = np.zeros((4, 2))

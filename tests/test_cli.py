@@ -216,6 +216,14 @@ class TestBsgmp:
         assert main(["bsgmp", "--edges", str(path), "--k", "2",
                      "--out", str(tmp_path / "p")]) == CONFIG_EXIT_CODE
 
+    @pytest.mark.parametrize("flag", ["--n-left", "--n-right"])
+    def test_zero_node_count_exits_2(self, tmp_path, capsys, flag):
+        edges = self.make_edges(tmp_path)
+        assert main(["bsgmp", "--edges", edges, "--k", "3", flag, "0",
+                     "--out", str(tmp_path / "p")]) == CONFIG_EXIT_CODE
+        assert "at least one node per side" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_invalid_k_exits_2(self, tmp_path):
         edges = self.make_edges(tmp_path)
         assert main(["bsgmp", "--edges", edges, "--k", "1",
@@ -346,6 +354,36 @@ class TestMalformedInputs:
         assert err.startswith(f"error: {field}:")
         assert not out.exists()
 
+    def test_unknown_option_exits_2(self, tmp_path, capsys):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]},
+                        {"k_true": 2, "n_per_cluster": 4, "n_test_per_cluster": 2,
+                         "restart": 1, "fit_rank": 1})
+        code, err = self.run(capsys, argv)
+        assert code == CONFIG_EXIT_CODE
+        assert "restart" in err and "restarts" not in err
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--tau", "x", "--tau"), ("--tau", "inf", "tau"), ("--nu", "inf", "nu"),
+        ("--rho", "nan", "rho"), ("--epsilon", "inf", "epsilon")])
+    def test_bad_semi_argument_exits_2(self, tmp_path, capsys, flag, value, field):
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=10, subdir="pool")
+        code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired", pool,
+                                      "--out", str(tmp_path / "fit"), "--r", "1",
+                                      flag, value])
+        assert code == CONFIG_EXIT_CODE
+        assert field in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_infinite_tau_for_gd_exits_2(self, tmp_path, capsys):
+        data = gen_paired(tmp_path, n=10)
+        code, err = self.run(capsys, ["fit", "gd", "--data", data, "--out",
+                                      str(tmp_path / "fit"), "--r", "1", "--tau", "inf",
+                                      "--phi", "log", "--psi", "exp", "--cn", "n"])
+        assert code == CONFIG_EXIT_CODE
+        assert err.startswith("error: tau")
+
     def test_bad_init_exits_2(self, tmp_path, capsys):
         argv = self.exp(tmp_path, "unpaired", {"n_grid": [4], "ratio_grid": [1]},
                         {"init": "bogus"})
@@ -391,6 +429,13 @@ class TestArgumentParsing:
 
     def test_fit_requires_a_method(self):
         assert main(["fit"]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["fit"], ["bsgmp", "--k", "x"],
+                                      ["fit", "linear", "--data", "d", "--out", "o"]])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        assert main(argv) == CONFIG_EXIT_CODE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: mmcl")
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

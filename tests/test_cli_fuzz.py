@@ -1,10 +1,13 @@
-"""Property test: malformed `gen` and `exp` configs never escape as a traceback.
+"""Property test: malformed `gen` and `exp` configs and malformed `fit` and
+`bsgmp` arguments never escape as a traceback.
 
-Each example starts from a small valid config, replaces or deletes a few
-fields (top level, model, sweep or options) with values of the wrong type,
-NaN, infinities, strings, bools or out-of-range numbers, and runs the CLI
-in-process. Whatever the config, the exit code is 0, 2 or 3, and a nonzero
-exit writes exactly one line to stderr.
+Each config example starts from a small valid config, replaces or deletes a
+few fields (top level, model, sweep or options) with values of the wrong
+type, NaN, infinities, strings, bools or out-of-range numbers, and runs the
+CLI in-process. Each argument example starts from a valid `fit` or `bsgmp`
+command line and replaces or drops a few numeric flags the same way.
+Whatever the input, the exit code is 0, 2 or 3, a nonzero exit writes
+exactly one line to stderr, and a fit that exits 0 reports a finite loss.
 """
 
 import contextlib
@@ -14,9 +17,11 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmcl import storage
 from mmcl.cli import main
 
 MODEL = {"d1": 4, "d2": 3, "r": 2, "snr": 2.0, "seed": 0}
@@ -71,10 +76,13 @@ def run_cli(argv):
     return code, err.getvalue()
 
 
-def check(code, err):
+def check(code, err, fit_dir=None):
+    """Exit 0, 2 or 3 with one stderr line unless 0; a fit that exits 0 has a finite loss."""
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert len(err.splitlines()) == (0 if code == 0 else 1)
+    if fit_dir and code == 0:
+        assert math.isfinite(storage.load_json(os.path.join(fit_dir, "fit.json"))["final_loss"])
 
 
 @SETTINGS
@@ -101,3 +109,68 @@ def test_malformed_exp_config_exits_cleanly(data):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         check(*run_cli(["exp", name, "--config", path, "--out", os.path.join(tmp, "exp")]))
+
+
+# Small values only: a bad count must not turn into a long-running command.
+BAD_ARGS = st.sampled_from([
+    MISSING, "x", "", "nan", "inf", "-inf", "1e309", "auto", "-5", "-1", "0", "0.5", "1",
+    "1.5", "2", "3",
+])
+
+FIT_COMMANDS = {
+    "linear": {"--r": "1", "--rho": "1.0"},
+    "gd": {"--r": "1", "--rho": "1.0", "--tau": "0.5", "--nu": "1.0", "--epsilon": "1.0",
+           "--lr": "0.05", "--phi": "log", "--psi": "exp", "--cn": "n", "--max-iter": "5"},
+    "approx": {"--r": "1", "--rho": "1.0", "--tau": "0.5", "--nu": "1.0", "--epsilon": "1.0"},
+    "semi": {"--r": "1", "--rho": "1.0", "--tau": "auto", "--nu": "2.0", "--epsilon": "1.0"},
+}
+FIT_FLAGS = ("--tau", "--nu", "--rho", "--epsilon", "--lr", "--r")
+BSGMP_FLAGS = {"--k": "3", "--restarts": "2", "--n-left": "12", "--n-right": "12"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    for name in ("data", "pool"):
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps(dict(GEN_CONFIGS[0], out=str(root / name))))
+        assert main(["gen", "--config", str(cfg)]) == 0
+    edges = [(i, j) for b in range(3) for i in range(4 * b, 4 * b + 4)
+             for j in range(4 * b, 4 * b + 4)]
+    storage.write_csv(str(root / "edges.csv"), ("i", "j"), edges)
+    return root
+
+
+def mutate_flags(data, flags: dict, targets) -> list:
+    """flags as --flag=value arguments, one to three of targets replaced or dropped."""
+    flags = dict(flags)
+    for _ in range(data.draw(st.integers(1, 3))):
+        flag = data.draw(st.sampled_from([f for f in targets if f in flags] or targets))
+        value = data.draw(BAD_ARGS)
+        if value is MISSING:
+            flags.pop(flag, None)
+        else:
+            flags[flag] = value
+    return [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_malformed_fit_arguments_exit_cleanly(inputs, data):
+    method = data.draw(st.sampled_from(sorted(FIT_COMMANDS)))
+    flags = FIT_COMMANDS[method]
+    argv = ["fit", method, "--data", str(inputs / "data")]
+    if method == "semi":
+        argv += ["--unpaired", str(inputs / "pool")]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fit")
+        argv += ["--out", out] + mutate_flags(data, flags, [f for f in FIT_FLAGS if f in flags])
+        check(*run_cli(argv), fit_dir=out)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_malformed_bsgmp_arguments_exit_cleanly(inputs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["bsgmp", "--edges", str(inputs / "edges.csv"), "--out", os.path.join(tmp, "p")]
+        check(*run_cli(argv + mutate_flags(data, BSGMP_FLAGS, list(BSGMP_FLAGS))))

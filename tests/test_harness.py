@@ -14,6 +14,7 @@ import mmcl
 from mmcl import datagen, storage
 from mmcl.errors import InvalidInput
 from mmcl.harness import (
+    EXPERIMENTS,
     GRADCHECK_SPECS,
     METRIC_NAMES,
     ExperimentConfig,
@@ -529,6 +530,43 @@ class TestRunExperiment:
         with pytest.raises(InvalidInput, match=f"options.{field}"):
             run_experiment(cfg, out_dir=str(out))
         assert not out.exists()
+
+
+    SWEEPS = {"distortion": {"n_grid": [4], "p_grid": [0.0]},
+              "unpaired": {"n_grid": [4], "ratio_grid": [1]},
+              "bsgmp": {"k_grid": [2], "p_prime_grid": [0.0]},
+              "gradcheck": {"n_grid": [4]},
+              "sscl-compare": {"n_grid": [4]}}
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("section,key", [("options", "restart"), ("sweep", "n_grids")])
+    def test_unknown_key_rejected_before_any_trial(self, tmp_path, experiment, section, key):
+        obj = dict(VALID_CONFIG, experiment=experiment, sweep=self.SWEEPS[experiment],
+                   options={})
+        obj[section] = dict(obj[section], **{key: 1})
+        out = tmp_path / "exp"
+        with pytest.raises(InvalidInput, match=rf"{section}: unknown fields \['{key}'\]"):
+            run_experiment(ExperimentConfig.from_json(obj), out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,sweep,field", [
+        ("distortion", {"n_grid": [4, True], "p_grid": [0.0]}, "n_grid"),
+        ("distortion", {"n_grid": [4], "p_grid": [0.0, math.nan]}, "p_grid"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [True]}, "ratio_grid"),
+        ("bsgmp", {"k_grid": [2, "x"], "p_prime_grid": [0.0]}, "k_grid"),
+        ("bsgmp", {"k_grid": ["none"], "p_prime_grid": 0.5}, "p_prime_grid"),
+    ])
+    def test_bad_sweep_item_rejected_before_any_trial(self, tmp_path, experiment, sweep, field):
+        obj = dict(VALID_CONFIG, experiment=experiment, sweep=sweep, options={})
+        out = tmp_path / "exp"
+        with pytest.raises(InvalidInput, match=f"sweep.{field}"):
+            run_experiment(ExperimentConfig.from_json(obj), out_dir=str(out))
+        assert not out.exists()
+
+    def test_duplicate_gradcheck_losses_rejected(self, tmp_path):
+        obj = dict(VALID_CONFIG, options={"losses": ["clip", "clip"]})
+        with pytest.raises(InvalidInput, match="options.losses"):
+            run_experiment(ExperimentConfig.from_json(obj), out_dir=str(tmp_path / "exp"))
 
 
 class TestWriteResultsAndSummarize:

@@ -133,6 +133,10 @@ class TestLossSpec:
             LossSpec(rho=0.0)
         with pytest.raises(InvalidInput):
             LossSpec(rho=-1.0)
+        for name in ("epsilon", "nu", "tau", "rho"):
+            for bad in (np.inf, -np.inf, np.nan, "1.0"):
+                with pytest.raises(InvalidInput, match=f"^{name} must be a finite number"):
+                    LossSpec(**{name: bad})
 
     def test_json_roundtrip(self):
         spec = LossSpec.clip(tau=0.25, rho=2.0, nu=2.0)

@@ -115,6 +115,15 @@ class TestLinearClosedForm:
             ds = datagen.sample_paired(model, 10, 0.0, seed=0)
             solvers.fit_linear_closed_form(ds, 2, rho=0.0)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan, -1.0])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        model = datagen.random_model(4, 3, 2, seed=0)
+        ds = datagen.sample_paired(model, 10, 0.0, seed=0)
+        with pytest.raises(InvalidInput, match="rho must be positive and finite"):
+            solvers.fit_linear_closed_form(ds, 2, rho=rho)
+        with pytest.raises(InvalidInput, match="rho must be positive and finite"):
+            solvers.fit_sscl_baseline(ds.x, 2, rho=rho)
+
     def test_tied_spectrum_is_flagged(self):
         rng = np.random.default_rng(4)
         raw = rng.standard_normal((5, 3))
