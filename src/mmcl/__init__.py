@@ -47,7 +47,6 @@ from .solvers import (
     fit_linear_closed_form,
     fit_semisupervised,
     fit_sscl_baseline,
-    matching_accuracy,
 )
 from .bsgmp import BipartiteGraph, Partition, kmeans, normalized_adjacency, partition, spectral_embed
 from .harness import (

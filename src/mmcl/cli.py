@@ -2,9 +2,9 @@
 
 Subcommands: gen (write a dataset directory), fit (fit encoders on a
 dataset directory), bsgmp (partition an edge list), exp (run a config
-sweep). Configuration errors exit with code 2, numerical failures with
-code 3. A sweep in which every trial failed exits 2 when each failure was
-a configuration error, and 3 otherwise.
+sweep). Configuration errors exit with code 2, numerical failures and
+running out of memory with code 3. A sweep in which every trial failed
+exits 2 when each failure was a configuration error, and 3 otherwise.
 """
 
 import argparse
@@ -25,22 +25,20 @@ from .errors import (
 )
 from .losses import LossSpec, schedule_tau
 
-GEN_KINDS = ("paired", "unpaired", "labeled-bipartite")
-
 
 def _cmd_gen(args) -> int:
     cfg = storage.load_json(args.config)
     if not isinstance(cfg, dict):
         raise InvalidInput("gen config must be a JSON object")
     kind = cfg.get("kind")
-    if kind not in GEN_KINDS:
-        raise InvalidInput(f"kind: must be one of {GEN_KINDS}, got {kind!r}")
+    if kind not in storage.DATASET_KINDS:
+        raise InvalidInput(f"kind: must be one of {storage.DATASET_KINDS}, got {kind!r}")
     out = args.out or cfg.get("out")
     if not out or not isinstance(out, str):
         raise InvalidInput("an output directory is required (--out or config 'out')")
     model = harness.model_from_config(cfg.get("model", {}))
-    int_field = functools.partial(harness._int_option, cfg, where="")
-    float_field = functools.partial(harness._float_option, cfg, where="")
+    int_field = functools.partial(storage.int_option, cfg, where="")
+    float_field = functools.partial(storage.float_option, cfg, where="")
     seed = int_field("seed", 0, minimum=0)
     if kind == "paired":
         ds = datagen.sample_paired(model, int_field("n", None, minimum=2),
@@ -87,16 +85,11 @@ def _cmd_fit(args) -> int:
         if args.tau == "auto":
             args.tau = schedule_tau(args.r, pool.x.shape[0])
         spec = _spec_from_args(args, "log", "exp", "n")
-        validation = storage.load_dataset(args.validation) if args.validation else None
-        fit = solvers.fit_semisupervised(ds, pool, args.r, spec,
-                                         init_mode=args.init,
-                                         max_rounds=args.max_rounds,
-                                         validation=validation)
+        fit = solvers.fit_semisupervised(ds, pool, args.r, spec, init_mode=args.init)
         extra = {
             "edge_pool_size": int(fit.meta["edge_pool_size"]),
             "edge_threshold": float(fit.meta["edge_threshold"]),
             "edges_estimated": int(fit.meta["edges"].shape[0]),
-            "rounds_run": int(fit.meta["rounds_run"]),
         }
     else:
         fit = solvers.fit_sscl_baseline(ds.x, args.r, args.rho, mode=args.mode,
@@ -164,6 +157,13 @@ def _tau_or_auto(text: str):
         raise argparse.ArgumentTypeError(f"must be a number or 'auto', got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, as numpy's generators require."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mmcl",
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gd.add_argument("--lr", type=float, default=0.1)
     p_gd.add_argument("--max-iter", type=int, default=500)
     p_gd.add_argument("--tol", type=float, default=1e-9)
-    p_gd.add_argument("--seed", type=int, default=0)
+    p_gd.add_argument("--seed", type=_seed, default=0)
 
     p_ap = fitsub.add_parser("approx", help="frozen-weight softmax surrogate")
     common(p_ap, with_spec=True)
@@ -213,20 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
         "temperature, or 'auto' for the pool-size schedule", _tau_or_auto, "auto"))
     p_semi.add_argument("--unpaired", required=True, help="unpaired dataset directory")
     p_semi.add_argument("--init", choices=["linear", "infonce"], default="linear")
-    p_semi.add_argument("--max-rounds", type=int, default=1)
-    p_semi.add_argument("--validation", help="paired dataset directory for anchor updates")
 
     p_ss = fitsub.add_parser("sscl", help="single-modality masking baseline")
     common(p_ss)
     p_ss.add_argument("--mode", choices=["expected", "sampled"], default="expected")
     p_ss.add_argument("--k-draws", type=int, default=2000)
-    p_ss.add_argument("--seed", type=int, default=0)
+    p_ss.add_argument("--seed", type=_seed, default=0)
 
     bs = sub.add_parser("bsgmp", help="spectral partition of a bipartite edge list")
     bs.add_argument("--edges", required=True, help="edge CSV with i,j[,is_truth] header")
     bs.add_argument("--k", type=int, required=True, help="number of clusters")
     bs.add_argument("--restarts", type=int, default=10)
-    bs.add_argument("--seed", type=int, default=0)
+    bs.add_argument("--seed", type=_seed, default=0)
     bs.add_argument("--n-left", type=int, help="left node count (default: max index + 1)")
     bs.add_argument("--n-right", type=int, help="right node count (default: max index + 1)")
     bs.add_argument("--out", required=True)
@@ -254,6 +252,9 @@ def main(argv=None) -> int:
         return CONFIG_EXIT_CODE
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT_CODE
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT_CODE
 
 

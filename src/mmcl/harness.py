@@ -12,7 +12,6 @@ which comparisons are expected to exclude.
 
 import itertools
 import os
-import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +25,7 @@ from . import bsgmp as bsgmp_mod
 from . import datagen, linalg, solvers, storage
 from .errors import InvalidInput, MmclError, DegenerateData
 from .losses import EncoderPair, LossSpec, loss_value, loss_gradient, schedule_tau
+from .storage import float_option, int_option
 
 METRIC_NAMES = (
     "sin_theta_g1",
@@ -166,12 +166,12 @@ def model_from_config(mc: dict) -> datagen.ModelParams:
     """Build ModelParams from a config model section."""
     if not isinstance(mc, dict):
         raise InvalidInput("model: must be an object")
-    d1, d2, r = (_int_option(mc, key, None, where="model.") for key in ("d1", "d2", "r"))
+    d1, d2, r = (int_option(mc, key, None, where="model.") for key in ("d1", "d2", "r"))
     snr = mc.get("snr", "inf")
-    snr = np.inf if snr in ("inf", np.inf) else _float_option(mc, "snr", None, where="model.")
-    decay = _float_option(mc, "decay", 1.0, hi=1.0, where="model.")
+    snr = np.inf if snr in ("inf", np.inf) else float_option(mc, "snr", None, where="model.")
+    decay = float_option(mc, "decay", 1.0, hi=1.0, where="model.")
     family = mc.get("family", "gaussian")
-    seed = _int_option(mc, "seed", 0, minimum=0, where="model.")
+    seed = int_option(mc, "seed", 0, minimum=0, where="model.")
     unknown = set(mc) - {"d1", "d2", "r", "snr", "decay", "family", "seed"}
     if unknown:
         raise InvalidInput(f"model: unknown fields {sorted(unknown)}")
@@ -179,32 +179,9 @@ def model_from_config(mc: dict) -> datagen.ModelParams:
                                 family=family, seed=seed)
 
 
-def _int_option(opts: dict, name: str, default: int, minimum: int = 1,
-                where: str = "options.") -> int:
-    val = opts.get(name, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise InvalidInput(f"{where}{name}: must be an integer >= {minimum}, got {val!r}")
-    return val
-
-
-def _float_option(opts: dict, name: str, default: float, lo: float = 0.0,
-                  hi: float = np.inf, lo_open: bool = True,
-                  where: str = "options.") -> float:
-    """A finite number from opts in the range (lo, hi], or [lo, hi] when not lo_open."""
-    val = opts.get(name, default)
-    num = np.nan  # fails every comparison below
-    if (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max):
-        num = float(val)
-    if not ((lo < num if lo_open else lo <= num) and num <= hi):
-        above = f"{'>' if lo_open else '>='} {lo}" + (f" and <= {hi}" if hi < np.inf else "")
-        raise InvalidInput(f"{where}{name}: must be a finite number {above}, got {val!r}")
-    return num
-
-
 def _grid(parse, **bounds):
     """Parser of a sweep list: nonempty, each item checked by parse
-    (_int_option or _float_option) with the given bounds."""
+    (int_option or float_option) with the given bounds."""
     def grid(sweep: dict, path: str) -> list:
         vals = sweep.get(path.split(".")[-1])
         if not isinstance(vals, list) or not vals:
@@ -367,23 +344,23 @@ def _sscl_trial(model, opts, n, method, seed):
 def _k_value(opts, name, default, where, minimum):
     """A cluster count, as a string, or 'none' for no partitioning."""
     val = opts[name]
-    return val if val == "none" else str(_int_option(opts, name, default, minimum, where))
+    return val if val == "none" else str(int_option(opts, name, default, minimum, where))
 
 
-_N_GRID = _grid(_int_option, minimum=2)
-_UNIT_GRID = _grid(_float_option, lo=0.0, hi=1.0, lo_open=False)
+_N_GRID = _grid(int_option, minimum=2)
+_UNIT_GRID = _grid(float_option, lo=0.0, hi=1.0, lo_open=False)
 
 
 def _int(default, minimum=1):
-    return lambda opts, name, model: _int_option(opts, name, default, minimum)
+    return lambda opts, name, model: int_option(opts, name, default, minimum)
 
 
 def _float(default, **bounds):
-    return lambda opts, name, model: _float_option(opts, name, default, **bounds)
+    return lambda opts, name, model: float_option(opts, name, default, **bounds)
 
 
 def _tau(opts, name, model):
-    return "auto" if opts.get(name, "auto") == "auto" else _float_option(opts, name, 1.0)
+    return "auto" if opts.get(name, "auto") == "auto" else float_option(opts, name, 1.0)
 
 
 def _init(opts, name, model):
@@ -426,7 +403,7 @@ TRIAL_TABLE = {
         axes=(("n", "n_grid"), ("p", "p_grid"), ("seed", "seeds"))),
     "unpaired": Experiment(
         _unpaired_trial,
-        sweep={"n_grid": _N_GRID, "ratio_grid": _grid(_int_option, minimum=1)},
+        sweep={"n_grid": _N_GRID, "ratio_grid": _grid(int_option, minimum=1)},
         options={"nu": _float(2.0, lo=1.0, lo_open=False), "rho": _float(1.0), "tau": _tau,
                  "tau_scale": _float(1.0), "init": _init},
         axes=(("n", "n_grid"), ("ratio", "ratio_grid"), ("seed", "seeds"))),
@@ -435,7 +412,7 @@ TRIAL_TABLE = {
         sweep={"k_grid": _grid(_k_value, minimum=2), "p_prime_grid": _UNIT_GRID},
         options={"k_true": _int(10, minimum=2), "n_per_cluster": _int(50),
                  "n_test_per_cluster": _int(20), "restarts": _int(10), "rho": _float(1.0),
-                 "fit_rank": lambda opts, name, model: _int_option(opts, name, model.r),
+                 "fit_rank": lambda opts, name, model: int_option(opts, name, model.r),
                  "within_scale": _float(0.5, lo_open=False)},
         axes=(("k", "k_grid"), ("p_prime", "p_prime_grid"), ("seed", "seeds"))),
     "gradcheck": Experiment(

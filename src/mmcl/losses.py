@@ -13,7 +13,7 @@ which gives an independent route to the same derivative.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class LossSpec:
             epsilon=float(merged["epsilon"]), nu=float(merged["nu"]),
             tau=float(merged["tau"]), cn=merged["cn"], rho=float(merged["rho"]),
         )
-
-    def with_updates(self, **kw) -> "LossSpec":
-        return replace(self, **kw)
 
 
 def c_n_value(rule: str, n: int) -> float:

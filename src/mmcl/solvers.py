@@ -8,7 +8,7 @@ g1 = (C / rho)^(1/2) U^T and g2 = (C / rho)^(1/2) V^T.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,8 +130,9 @@ def fit_gradient_descent(
     """
     x = linalg.as_matrix(data.x, "x")
     xt = linalg.as_matrix(data.xt, "xt")
-    if not lr >= 0:
-        raise InvalidInput(f"learning rate must be nonnegative, got {lr}")
+    for name, value in (("lr", lr), ("tol", tol)):
+        if not 0 <= value < np.inf:
+            raise InvalidInput(f"{name} must be nonnegative and finite, got {value}")
     if max_iter < 0:
         raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
     if r < 1 or r > min(x.shape[1], xt.shape[1]):
@@ -205,23 +206,19 @@ def fit_approx_infonce(data, r: int, spec: LossSpec,
 
 @dataclass(frozen=True)
 class EdgeEstimate:
-    """Pair set read off a similarity matrix by mutual-argmax pooling.
-
-    The candidate pool holds each row's argmax and each column's argmax;
-    the n largest pool entries (ties broken lexicographically by index)
-    form the estimate. threshold is the value of the last pair kept.
-    short_pool records the structurally impossible case of a pool smaller
-    than n, in which the whole pool is returned.
-    """
+    """Output of estimate_edges: the kept pairs, the score of the last pair
+    kept, and the size of the mutual-argmax pool (at least n entries)."""
 
     edges: np.ndarray
     threshold: float
     pool_size: int
-    short_pool: bool = False
 
 
 def estimate_edges(sims) -> EdgeEstimate:
-    """Estimate a one-to-one pair set from a square similarity matrix."""
+    """The n best pairs of the pool that holds each row's and each column's
+    argmax in a square similarity matrix, ties broken lexicographically by
+    index. The pairs are not necessarily one-to-one: a row or a column may
+    appear in more than one of them."""
     sims = linalg.as_matrix(sims, "sims")
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput(f"similarity matrix must be square, got {sims.shape}")
@@ -248,34 +245,11 @@ def estimate_edges(sims) -> EdgeEstimate:
     threshold = float(scores[ranked[-1]])
     kept = np.sort(ranked)
     edges = np.stack([rows[kept], cols[kept]], axis=1)
-    return EdgeEstimate(edges=edges, threshold=threshold,
-                        pool_size=codes.size, short_pool=codes.size < n)
+    return EdgeEstimate(edges=edges, threshold=threshold, pool_size=codes.size)
 
 
-def matching_accuracy(enc: EncoderPair, data) -> float:
-    """Fraction of left samples whose similarity argmax is their true partner."""
-    truth = np.asarray(data.truth_edges, dtype=np.int64)
-    if truth.shape[0] == 0:
-        raise InvalidInput("dataset carries no truth edges")
-    sims = similarity_matrix(enc, data.x, data.xt)
-    partner = np.full(sims.shape[0], -1, dtype=np.int64)
-    partner[truth[:, 0]] = truth[:, 1]
-    pred = np.argmax(sims, axis=1)
-    known = partner >= 0
-    return float(np.mean(pred[known] == partner[known]))
-
-
-def fit_semisupervised(
-    paired,
-    unpaired,
-    r: int,
-    spec: LossSpec,
-    init_mode: str = "linear",
-    gd_options: dict | None = None,
-    max_rounds: int = 1,
-    anchor_gain: float = 1.1,
-    validation=None,
-) -> FitResult:
+def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
+                       init_mode: str = "linear") -> FitResult:
     """Two-step learning from a paired set plus an unpaired pool.
 
     Step one fits anchor encoders on the paired set (linear closed form,
@@ -284,67 +258,34 @@ def fit_semisupervised(
     anchors, estimates a pair set, forms the unpaired contrast matrix
     with the symmetrized softmax table, and returns its truncated SVD
     scaled by 1 / rho.
-
-    With max_rounds > 1 the estimate is repeated; the anchors are
-    replaced by the new encoders only when matching accuracy on the
-    validation set improves by the factor anchor_gain.
     """
-    if max_rounds < 1:
-        raise InvalidInput(f"max_rounds must be at least 1, got {max_rounds}")
-    if max_rounds > 1 and validation is None:
-        raise InvalidInput("iterative refinement needs a validation set")
-    flags: list[str] = []
-    if spec.nu <= 1.0:
-        flags.append("nu-not-above-one")
+    flags = ("nu-not-above-one",) if spec.nu <= 1.0 else ()
     if init_mode == "linear":
         anchor_fit = fit_linear_closed_form(paired, r, spec.rho)
     elif init_mode == "infonce":
-        gd_spec = spec.with_updates(phi="log1p", psi="exp")
-        opts = {"lr": 0.05, "max_iter": 2000, "tol": 1e-10, "seed": 0}
-        opts.update(gd_options or {})
-        anchor_fit = fit_gradient_descent(gd_spec, paired, r, **opts)
+        anchor_fit = fit_gradient_descent(replace(spec, phi="log1p", psi="exp"), paired, r,
+                                          lr=0.05, max_iter=2000, tol=1e-10, seed=0)
     else:
         raise InvalidInput(f"init_mode must be 'linear' or 'infonce', got {init_mode!r}")
 
-    anchors = anchor_fit.enc
-    anchor_acc = matching_accuracy(anchors, validation) if validation is not None else None
     xu = linalg.as_matrix(unpaired.x, "unpaired x")
     xtu = linalg.as_matrix(unpaired.xt, "unpaired xt")
-    result = None
-    rounds_run = 0
-    anchor_updates = 0
-    est = None
-    for _ in range(max_rounds):
-        sims_u = similarity_matrix(anchors, xu, xtu)
-        est = estimate_edges(sims_u)
-        weights = unpaired_weights(sims_u, spec.tau, spec.nu, est.edges)
-        s_hat = contrastive_cross_covariance(weights, xu, xtu, "n")
-        enc, product, s_r, gap_flags = _truncated_fit(s_hat, r, 1.0 / spec.rho)
-        result = FitResult(
-            enc=enc, product=product, iterations=0,
-            final_loss=loss_value(spec, enc, paired),
-            trace=None, flags=tuple(flags) + gap_flags,
-            meta={"singular_values": s_r},
-        )
-        rounds_run += 1
-        if rounds_run < max_rounds:
-            new_acc = matching_accuracy(enc, validation)
-            if anchor_acc is not None and new_acc >= anchor_gain * anchor_acc:
-                anchors = enc
-                anchor_acc = new_acc
-                anchor_updates += 1
-    result.meta.update({
+    sims_u = similarity_matrix(anchor_fit.enc, xu, xtu)
+    est = estimate_edges(sims_u)
+    weights = unpaired_weights(sims_u, spec.tau, spec.nu, est.edges)
+    s_hat = contrastive_cross_covariance(weights, xu, xtu, "n")
+    enc, product, s_r, gap_flags = _truncated_fit(s_hat, r, 1.0 / spec.rho)
+    meta = {
+        "singular_values": s_r,
         "edges": est.edges,
         "edge_threshold": est.threshold,
         "edge_pool_size": est.pool_size,
         "init_product": anchor_fit.product,
         "init_flags": anchor_fit.flags,
-        "rounds_run": rounds_run,
-        "anchor_updates": anchor_updates,
-    })
-    if est.short_pool:
-        result.flags = result.flags + ("short-pool",)
-    return result
+    }
+    return FitResult(enc=enc, product=product, iterations=0,
+                     final_loss=loss_value(spec, enc, paired),
+                     trace=None, flags=flags + gap_flags, meta=meta)
 
 
 def fit_sscl_baseline(

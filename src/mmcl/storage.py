@@ -9,12 +9,38 @@ wall-clock timestamps except the explicit wall_time metric column.
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 
 from . import datagen
 from .errors import InvalidInput
 from .losses import LossSpec
+
+DATASET_KINDS = ("paired", "unpaired", "labeled-bipartite")
+
+
+def int_option(opts: dict, name: str, default: int, minimum: int = 1,
+               where: str = "options.") -> int:
+    val = opts.get(name, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise InvalidInput(f"{where}{name}: must be an integer >= {minimum}, got {val!r}")
+    return val
+
+
+def float_option(opts: dict, name: str, default: float, lo: float = 0.0,
+                 hi: float = np.inf, lo_open: bool = True,
+                 where: str = "options.") -> float:
+    """A finite number from opts in the range (lo, hi], or [lo, hi] when not lo_open."""
+    val = opts.get(name, default)
+    num = np.nan  # fails every comparison below
+    if (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max):
+        num = float(val)
+    if not ((lo < num if lo_open else lo <= num) and num <= hi):
+        above = f"{'>' if lo_open else '>='} {lo}" + (f" and <= {hi}" if hi < np.inf else "")
+        raise InvalidInput(f"{where}{name}: must be a finite number {above}, got {val!r}")
+    return num
 
 
 def format_cell(v) -> str:
@@ -122,11 +148,11 @@ def _csv_rows(path: str) -> list:
         return [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
 
 
-def _int_columns(path: str, rows: list, width: int) -> np.ndarray:
+def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.ndarray:
     """The first width cells of each (line number, cells) row as int64.
 
-    A shorter row or a non-integer cell raises InvalidInput naming the
-    file and the line.
+    A shorter row, a non-integer cell, or a value of column c outside
+    [0, bounds[c]) raises InvalidInput naming the file and the line.
     """
     out = []
     for n, cells in rows:
@@ -137,7 +163,16 @@ def _int_columns(path: str, rows: list, width: int) -> np.ndarray:
         except ValueError:
             raise InvalidInput(
                 f"{path} line {n}: non-integer cell in {','.join(cells)!r}") from None
-    return np.asarray(out, dtype=np.int64).reshape(-1, width)
+    try:
+        arr = np.asarray(out, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        raise InvalidInput(f"{path}: integer beyond 64 bits") from None
+    head = arr[:, :len(bounds)]
+    bad = np.flatnonzero(((head < 0) | (head >= np.asarray(bounds))).any(axis=1))
+    if bad.size:
+        n, cells = rows[bad[0]]
+        raise InvalidInput(f"{path} line {n}: value out of range in {','.join(cells)!r}")
+    return arr
 
 
 def read_edge_csv(path: str) -> np.ndarray:
@@ -191,37 +226,46 @@ def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> Non
     save_json(os.path.join(path, "meta.json"), meta)
 
 
-def _read_labels(path: str) -> np.ndarray:
-    return _int_columns(path, _csv_rows(path)[1:], 1)[:, 0]
+def _read_labels(path: str, count: int, k: int) -> np.ndarray:
+    labels = _int_columns(path, _csv_rows(path)[1:], 1, (k,))[:, 0]
+    if labels.size != count:
+        raise InvalidInput(f"{path}: {labels.size} labels for {count} rows")
+    return labels
 
 
 def load_dataset(path: str):
-    """Load a dataset directory written by save_dataset."""
-    meta = load_json(os.path.join(path, "meta.json"))
+    """Load a dataset directory written by save_dataset; a malformed meta.json
+    field, edge or label file raises InvalidInput naming the file."""
+    meta_path = os.path.join(path, "meta.json")
+    meta = load_json(meta_path)
+    if not isinstance(meta, dict):
+        raise InvalidInput(f"{meta_path}: must be a JSON object")
+    kind = meta.get("kind", "paired")
+    if kind not in DATASET_KINDS:
+        raise InvalidInput(f"{meta_path}: kind must be one of {DATASET_KINDS}, got {kind!r}")
+    p_n = float_option(meta, "p_n", 1.0 if kind == "unpaired" else 0.0, hi=1.0,
+                       lo_open=False, where=f"{meta_path}: ")
     x = load_matrix(os.path.join(path, "x.csv"))
     xt = load_matrix(os.path.join(path, "xt.csv"))
-    kind = meta.get("kind", "paired")
     edge_path = os.path.join(path, "edges.csv")
-    rows = _int_columns(edge_path, _csv_rows(edge_path)[1:], 3)
+    rows = _int_columns(edge_path, _csv_rows(edge_path)[1:], 3, (x.shape[0], xt.shape[0]))
     edges = np.ascontiguousarray(rows[:, :2])
-    truth_mask = rows[:, 2].astype(bool)
     if kind == "labeled-bipartite":
-        labels_x = _read_labels(os.path.join(path, "labels_left.csv"))
-        labels_xt = _read_labels(os.path.join(path, "labels_right.csv"))
+        k = int_option(meta, "k", None, where=f"{meta_path}: ")
+        labels_x = _read_labels(os.path.join(path, "labels_left.csv"), x.shape[0], k)
+        labels_xt = _read_labels(os.path.join(path, "labels_right.csv"), xt.shape[0], k)
         return datagen.LabeledBipartite(
             x=x, xt=xt, labels_x=labels_x, labels_xt=labels_xt, edges=edges,
-            k=int(meta["k"]), centers=None,
-            meta={"kind": kind, "p_prime": float(meta.get("p_n", 0.0))},
+            k=k, centers=None, meta={"kind": kind, "p_prime": p_n},
         )
     if kind == "unpaired":
         return datagen.PairedDataset(
             x=x, xt=xt, observed_edges=np.empty((0, 2), dtype=np.int64),
-            truth_edges=edges, distortion=float(meta.get("p_n", 1.0)),
-            meta={"kind": kind},
+            truth_edges=edges, distortion=p_n, meta={"kind": kind},
         )
     return datagen.PairedDataset(
-        x=x, xt=xt, observed_edges=edges, truth_edges=edges[truth_mask],
-        distortion=float(meta.get("p_n", 0.0)), meta={"kind": kind},
+        x=x, xt=xt, observed_edges=edges, truth_edges=edges[rows[:, 2].astype(bool)],
+        distortion=p_n, meta={"kind": kind},
     )
 
 

@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from mmcl import datagen, solvers, storage
+from mmcl import bsgmp, datagen, solvers, storage
 from mmcl.cli import main
 from mmcl.errors import CONFIG_EXIT_CODE, NUMERICAL_EXIT_CODE, DegenerateData
 
@@ -142,7 +142,6 @@ class TestFit:
         info = storage.load_json(str(out / "fit.json"))
         assert info["edges_estimated"] == 60
         assert info["edge_pool_size"] >= 60
-        assert info["rounds_run"] == 1
         assert isinstance(info["edge_threshold"], float)
 
     def test_sscl_expected_and_sampled(self, tmp_path):
@@ -383,6 +382,88 @@ class TestMalformedInputs:
                                       "--phi", "log", "--psi", "exp", "--cn", "n"])
         assert code == CONFIG_EXIT_CODE
         assert err.startswith("error: tau")
+
+    @pytest.mark.parametrize("extra", [["--max-rounds", "3"], ["--validation", "pool"]])
+    def test_removed_semi_flags_exit_2(self, tmp_path, capsys, extra):
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=10, subdir="pool")
+        extra = [pool if arg == "pool" else arg for arg in extra]
+        code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired", pool,
+                                      "--out", str(tmp_path / "fit"), "--r", "1"] + extra)
+        assert code == CONFIG_EXIT_CODE
+        assert extra[0] in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bsgmp", "--edges", "EDGES", "--k", "2", "--seed", "-1"],
+        ["fit", "gd", "--data", "DATA", "--r", "1", "--seed", "-3"],
+        ["fit", "sscl", "--data", "DATA", "--r", "1", "--mode", "sampled", "--seed", "-1"],
+        ["fit", "sscl", "--data", "DATA", "--r", "1", "--mode", "sampled", "--seed", "x"],
+    ])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, argv):
+        data = gen_paired(tmp_path, n=10)
+        edges = tmp_path / "e.csv"
+        edges.write_text("i,j\n0,0\n1,1\n")
+        argv = [data if a == "DATA" else str(edges) if a == "EDGES" else a for a in argv]
+        code, err = self.run(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert code == CONFIG_EXIT_CODE
+        assert "--seed" in err and "nonnegative integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--lr", "inf"), ("--lr", "nan")])
+    def test_bad_step_option_for_gd_exits_2(self, tmp_path, capsys, flag, value):
+        # Without the check these ran every iteration and exited 0 with a
+        # finite loss, or failed with a message about g1.
+        data = gen_paired(tmp_path, n=10)
+        code, err = self.run(capsys, ["fit", "gd", "--data", data, "--out",
+                                      str(tmp_path / "fit"), "--r", "1", "--max-iter", "3",
+                                      f"{flag}={value}"])
+        assert code == CONFIG_EXIT_CODE
+        assert err.startswith(f"error: {flag[2:]} must be nonnegative and finite")
+
+    def test_zero_tol_is_valid_for_gd(self, tmp_path):
+        data = gen_paired(tmp_path, n=10)
+        assert main(["fit", "gd", "--data", data, "--out", str(tmp_path / "fit"),
+                     "--r", "1", "--max-iter", "3", "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize("kind,file,edit,fragment", [
+        ("paired", "meta.json", lambda text: "[]", "must be a JSON object"),
+        ("paired", "meta.json", lambda text: text.replace('"paired"', '"bogus"'), "kind"),
+        ("paired", "meta.json", lambda text: text.replace('"p_n": 0.0', '"p_n": "x"'), "p_n"),
+        ("labeled-bipartite", "meta.json",
+         lambda text: text.replace('"k": 2,', ''), "k: must be an integer"),
+        ("labeled-bipartite", "meta.json",
+         lambda text: text.replace('"k": 2', '"k": "x"'), "k: must be an integer"),
+        ("paired", "edges.csv", lambda text: text + "0,99,1\n", "line 32: value out of range"),
+        ("labeled-bipartite", "labels_left.csv", lambda text: "label\n0\n1\n",
+         "2 labels for 30 rows"),
+    ])
+    def test_inconsistent_dataset_exits_2(self, tmp_path, capsys, kind, file, edit, fragment):
+        fields = ({"n": 30, "p": 0.0} if kind == "paired"
+                  else {"n_per_cluster": 15, "k": 2, "p_prime": 0.1})
+        cfg = write_config(tmp_path, "g.json", dict({"kind": kind, "model": MODEL}, **fields))
+        data = tmp_path / "data"
+        assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+        capsys.readouterr()
+        path = data / file
+        path.write_text(edit(path.read_text()))
+        code, err = self.run(capsys, ["fit", "linear", "--data", str(data),
+                                      "--out", str(tmp_path / "fit"), "--r", "1"])
+        assert code == CONFIG_EXIT_CODE
+        assert f"{path}" in err and fragment in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(bsgmp, "partition", exhausted)
+        edges = tmp_path / "e.csv"
+        edges.write_text("i,j\n0,0\n1,1\n")
+        code, err = self.run(capsys, ["bsgmp", "--edges", str(edges), "--k", "2",
+                                      "--out", str(tmp_path / "p")])
+        assert code == NUMERICAL_EXIT_CODE
+        assert err.startswith("out of memory: Unable to allocate")
 
     def test_bad_init_exits_2(self, tmp_path, capsys):
         argv = self.exp(tmp_path, "unpaired", {"n_grid": [4], "ratio_grid": [1]},

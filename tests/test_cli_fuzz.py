@@ -1,11 +1,14 @@
-"""Property test: malformed `gen` and `exp` configs and malformed `fit` and
-`bsgmp` arguments never escape as a traceback.
+"""Property test: malformed `gen` and `exp` configs, malformed `fit` and
+`bsgmp` arguments and malformed dataset files never escape as a traceback.
 
 Each config example starts from a small valid config, replaces or deletes a
 few fields (top level, model, sweep or options) with values of the wrong
 type, NaN, infinities, strings, bools or out-of-range numbers, and runs the
 CLI in-process. Each argument example starts from a valid `fit` or `bsgmp`
-command line and replaces or drops a few numeric flags the same way.
+command line and replaces or drops a few numeric flags the same way. Each
+dataset example damages one to three files of a small valid dataset
+directory (dropped lines, ragged rows, bad cells, a BOM, invalid UTF-8, or
+bad meta.json fields) and runs `fit linear`, `fit semi` and `bsgmp` on it.
 Whatever the input, the exit code is 0, 2 or 3, a nonzero exit writes
 exactly one line to stderr, and a fit that exits 0 reports a finite loss.
 """
@@ -15,6 +18,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shutil
 import tempfile
 
 import pytest
@@ -120,12 +125,16 @@ BAD_ARGS = st.sampled_from([
 FIT_COMMANDS = {
     "linear": {"--r": "1", "--rho": "1.0"},
     "gd": {"--r": "1", "--rho": "1.0", "--tau": "0.5", "--nu": "1.0", "--epsilon": "1.0",
-           "--lr": "0.05", "--phi": "log", "--psi": "exp", "--cn": "n", "--max-iter": "5"},
+           "--lr": "0.05", "--phi": "log", "--psi": "exp", "--cn": "n", "--max-iter": "5",
+           "--tol": "1e-9", "--seed": "0"},
     "approx": {"--r": "1", "--rho": "1.0", "--tau": "0.5", "--nu": "1.0", "--epsilon": "1.0"},
     "semi": {"--r": "1", "--rho": "1.0", "--tau": "auto", "--nu": "2.0", "--epsilon": "1.0"},
+    "sscl": {"--r": "1", "--rho": "1.0", "--mode": "sampled", "--k-draws": "3", "--seed": "0"},
 }
-FIT_FLAGS = ("--tau", "--nu", "--rho", "--epsilon", "--lr", "--r")
-BSGMP_FLAGS = {"--k": "3", "--restarts": "2", "--n-left": "12", "--n-right": "12"}
+FIT_FLAGS = ("--tau", "--nu", "--rho", "--epsilon", "--lr", "--r", "--seed", "--tol",
+             "--max-iter")
+BSGMP_FLAGS = {"--k": "3", "--restarts": "2", "--n-left": "12", "--n-right": "12",
+               "--seed": "0"}
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +183,70 @@ def test_malformed_bsgmp_arguments_exit_cleanly(inputs, data):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["bsgmp", "--edges", str(inputs / "edges.csv"), "--out", os.path.join(tmp, "p")]
         check(*run_cli(argv + mutate_flags(data, BSGMP_FLAGS, list(BSGMP_FLAGS))))
+
+
+# Cell contents that a damaged file may hold; no integer beyond 1000, so no
+# example can ask for a large dense table.
+BAD_CELLS = st.sampled_from([b"x", b"nan", b"inf", b"1e309", b"", b"-1", b"1000",
+                             b"\xef\xbb\xbf1", b"\xff\xfe"])
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """Small valid dataset directories, one per kind."""
+    root = tmp_path_factory.mktemp("datasets")
+    for cfg in GEN_CONFIGS:
+        path = root / f"{cfg['kind']}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(path), "--out", str(root / cfg["kind"])]) == 0
+    return root
+
+
+def mutate_file(data, path):
+    """Drop a line, make a row ragged, or put a bad token in one cell; in
+    meta.json, also replace or delete a field with a value of the wrong type."""
+    if path.name == "meta.json" and data.draw(st.booleans()):
+        meta = json.loads(path.read_text())
+        key = data.draw(st.sampled_from(sorted(meta) + ["extra"]))
+        value = data.draw(BAD_VALUES)
+        if value is MISSING:
+            meta.pop(key, None)
+        else:
+            meta[key] = value
+        path.write_text(json.dumps(meta))
+        return
+    lines = path.read_bytes().split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "short", "long", "cell"]))
+    if op == "drop":
+        del lines[i]
+    elif op == "short":
+        lines[i] = lines[i].rpartition(b",")[0]
+    elif op == "long":
+        lines[i] += b",1"
+    else:
+        cells = lines[i].split(b",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(BAD_CELLS)
+        lines[i] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_malformed_dataset_files_exit_cleanly(datasets, data):
+    kind = data.draw(st.sampled_from([cfg["kind"] for cfg in GEN_CONFIGS]))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "data")
+        shutil.copytree(datasets / kind, target)
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(sorted(os.listdir(target))))
+            mutate_file(data, pathlib.Path(target, name))
+        paired, pool = ((str(datasets / "paired"), target) if kind == "unpaired"
+                        else (target, str(datasets / "unpaired")))
+        for argv, is_fit in (
+                (["fit", "linear", "--data", target, "--r", "1"], True),
+                (["fit", "semi", "--data", paired, "--unpaired", pool, "--r", "1"], True),
+                (["bsgmp", "--edges", os.path.join(target, "edges.csv"), "--k", "2",
+                  "--restarts", "1"], False)):
+            out = os.path.join(tmp, f"out-{argv[1]}")
+            check(*run_cli(argv + ["--out", out]), fit_dir=out if is_fit else None)

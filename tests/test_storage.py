@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,81 @@ class TestDatasetRoundTrip:
         edge_path.write_text(edge_path.read_text() + row + "\n")
         with pytest.raises(InvalidInput, match=f"{edge_path} line 8: {fragment}"):
             storage.load_dataset(str(tmp_path))
+
+
+class TestLoadDatasetChecks:
+    """A dataset directory whose meta.json, edges or labels do not fit the
+    data raises InvalidInput naming the file, for the CLI's exit 2."""
+
+    MODEL = datagen.random_model(5, 4, 2, seed=0)
+
+    def write(self, tmp_path, kind):
+        if kind == "labeled-bipartite":
+            ds = datagen.sample_labeled_bipartite(self.MODEL, 15, 2, 0.1, seed=1)
+        else:
+            ds = datagen.sample_paired(self.MODEL, 30, 0.0, seed=1)
+        storage.save_dataset(str(tmp_path), ds)
+        return tmp_path
+
+    def edit_meta(self, tmp_path, kind, edit):
+        data = self.write(tmp_path, kind)
+        meta = storage.load_json(str(data / "meta.json"))
+        (data / "meta.json").write_text(json.dumps(edit(meta)))
+        return data
+
+    @pytest.mark.parametrize("kind,edit,fragment", [
+        ("paired", lambda m: [], "must be a JSON object"),
+        ("paired", lambda m: dict(m, kind="bogus"), "kind must be one of"),
+        ("paired", lambda m: dict(m, kind=[]), "kind must be one of"),
+        ("paired", lambda m: dict(m, p_n="x"), "p_n: must be a finite number"),
+        ("paired", lambda m: dict(m, p_n=float("nan")), "p_n: must be a finite number"),
+        ("paired", lambda m: dict(m, p_n=2.0), "p_n: must be a finite number"),
+        ("labeled-bipartite", lambda m: {f: v for f, v in m.items() if f != "k"},
+         "k: must be an integer"),
+        ("labeled-bipartite", lambda m: dict(m, k="x"), "k: must be an integer"),
+        ("labeled-bipartite", lambda m: dict(m, k=True), "k: must be an integer"),
+    ])
+    def test_bad_meta_field(self, tmp_path, kind, edit, fragment):
+        data = self.edit_meta(tmp_path, kind, edit)
+        with pytest.raises(InvalidInput, match=re.escape(f"{data / 'meta.json'}: {fragment}")):
+            storage.load_dataset(str(data))
+
+    @pytest.mark.parametrize("kind", ["paired", "labeled-bipartite"])
+    @pytest.mark.parametrize("row", ["0,99,1", "30,0,1", "-1,0,1", "0,30,0"])
+    def test_edge_outside_the_data(self, tmp_path, kind, row):
+        data = self.write(tmp_path, kind)
+        path = data / "edges.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path} line 3: value out of range")):
+            storage.load_dataset(str(data))
+
+    def test_integer_beyond_64_bits(self, tmp_path):
+        data = self.write(tmp_path, "paired")
+        path = data / "edges.csv"
+        path.write_text(path.read_text() + "99999999999999999999,0,1\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: integer beyond 64 bits")):
+            storage.load_dataset(str(data))
+
+    @pytest.mark.parametrize("name", ["labels_left.csv", "labels_right.csv"])
+    def test_label_count_must_match_rows(self, tmp_path, name):
+        data = self.write(tmp_path, "labeled-bipartite")
+        (data / name).write_text("label\n0\n1\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{data / name}: 2 labels for 30 rows")):
+            storage.load_dataset(str(data))
+
+    def test_label_must_be_below_k(self, tmp_path):
+        data = self.write(tmp_path, "labeled-bipartite")
+        path = data / "labels_left.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + ["2"] + lines[5:]) + "\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path} line 5: value out of range")):
+            storage.load_dataset(str(data))
+
+    def test_missing_kind_still_loads_as_paired(self, tmp_path):
+        data = self.edit_meta(tmp_path, "paired",
+                              lambda m: {f: v for f, v in m.items() if f != "kind"})
+        assert storage.load_dataset(str(data)).meta["kind"] == "paired"
 
 
 class TestSaveFit:
