@@ -109,10 +109,7 @@ def _canonicalize_top_tie(u, v, s, deg_left):
         run += 1
     if run < 2:
         return u, v
-    if deg_left is not None:
-        t = np.sqrt(np.asarray(deg_left, dtype=np.float64))
-    else:
-        t = np.ones(u.shape[0])
+    t = np.sqrt(np.asarray(deg_left, dtype=np.float64))
     norm = np.linalg.norm(t)
     if norm == 0.0:
         return u, v
@@ -153,15 +150,14 @@ def _leading_svd(a, count: int):
     return linalg.SvdResult(u=q @ res.u, s=res.s, v=res.v)
 
 
-def spectral_embed(a_n, k: int, deg_left=None, deg_right=None, return_info: bool = False):
+def spectral_embed(a_n, k: int, deg_left, deg_right):
     """Joint node embedding from the normalized adjacency matrix.
 
-    Stacks D_left^(-1/2) U and D_right^(-1/2) V, where U and V hold the
-    singular vectors 2 .. l+1 of a_n and l = ceil(log2 k). When degree
-    vectors are omitted the rescaling is skipped. With return_info=True
-    also returns a dict with the leading singular values (the first l+1,
-    or the whole run tied with the first if that is longer), l, and a
-    degenerate flag raised when the second singular value is (near) zero.
+    Returns (z, info): z stacks D_left^(-1/2) U and D_right^(-1/2) V,
+    where U and V hold the singular vectors 2 .. l+1 of a_n and
+    l = ceil(log2 k); info holds the leading singular values (the first
+    l+1, or the whole run tied with the first if that is longer), l, and
+    a degenerate flag raised when the second singular value is (near) zero.
     """
     a_n = linalg.as_matrix(a_n, "normalized adjacency")
     l = embedding_width(k)
@@ -171,21 +167,19 @@ def spectral_embed(a_n, k: int, deg_left=None, deg_right=None, return_info: bool
         )
     res = _leading_svd(a_n, l + 1)
     u_all, v_all = _canonicalize_top_tie(res.u, res.v, res.s, deg_left)
-    u_sel = u_all[:, 1:l + 1]
-    v_sel = v_all[:, 1:l + 1]
-    if deg_left is not None:
-        u_sel = _inv_sqrt(np.asarray(deg_left, dtype=np.float64))[:, None] * u_sel
-    if deg_right is not None:
-        v_sel = _inv_sqrt(np.asarray(deg_right, dtype=np.float64))[:, None] * v_sel
+    u_sel = _inv_sqrt(np.asarray(deg_left, dtype=np.float64))[:, None] * u_all[:, 1:l + 1]
+    v_sel = _inv_sqrt(np.asarray(deg_right, dtype=np.float64))[:, None] * v_all[:, 1:l + 1]
     z = np.vstack([u_sel, v_sel])
-    if not return_info:
-        return z
     info = {
         "singular_values": res.s.copy(),
         "l": l,
         "degenerate": bool(res.s[1] <= linalg.GAP_TOL),
     }
     return z, info
+
+
+KMEANS_MAX_ITER = 100  # Lloyd iterations per restart
+KMEANS_TOL = 1e-12  # largest center shift that counts as converged
 
 
 @dataclass(frozen=True)
@@ -232,11 +226,10 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return labels, own
 
 
-def _lloyd(points: np.ndarray, w: np.ndarray, centers: np.ndarray,
-           max_iter: int, tol: float):
+def _lloyd(points: np.ndarray, w: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
     labels, own = _assign(points, centers)
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         sums = np.zeros_like(centers)
         np.add.at(sums, labels, w[:, None] * points)
         counts = np.zeros(k)
@@ -253,13 +246,12 @@ def _lloyd(points: np.ndarray, w: np.ndarray, centers: np.ndarray,
         shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
         labels, own = _assign(points, centers)
-        if shift <= tol:
+        if shift <= KMEANS_TOL:
             return labels, centers, float(np.sum(w * own)), it + 1
-    return labels, centers, float(np.sum(w * own)), max_iter
+    return labels, centers, float(np.sum(w * own)), KMEANS_MAX_ITER
 
 
-def kmeans(points, k: int, seed=0, restarts: int = 10,
-           max_iter: int = 100, tol: float = 1e-12) -> KMeansResult:
+def kmeans(points, k: int, seed=0, restarts: int = 10) -> KMeansResult:
     """k-means with k-means++ restarts; best inertia wins, ties keep the
     earliest restart. Fully deterministic given the seed.
 
@@ -289,7 +281,7 @@ def kmeans(points, k: int, seed=0, restarts: int = 10,
     best = None
     for rs in range(restarts):
         init = _pp_init(reps, w, inverse, k, rng)
-        labels, centers, inertia, iters = _lloyd(reps, w, init, max_iter, tol)
+        labels, centers, inertia, iters = _lloyd(reps, w, init)
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels[inverse], centers=centers,
                                 inertia=inertia, best_restart=rs, iterations=iters)
@@ -316,7 +308,7 @@ def partition(graph: BipartiteGraph, k: int, seed=0, restarts: int = 10) -> Part
     """Cluster both node sets jointly and drop edges crossing clusters."""
     a_n = normalized_adjacency(graph)
     d_left, d_right = graph.degrees()
-    z, info = spectral_embed(a_n, k, deg_left=d_left, deg_right=d_right, return_info=True)
+    z, info = spectral_embed(a_n, k, d_left, d_right)
     km = kmeans(z, k, seed=seed, restarts=restarts)
     labels_left = km.labels[: graph.n_left].copy()
     labels_right = km.labels[graph.n_left:].copy()

@@ -14,7 +14,6 @@ import itertools
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
@@ -360,7 +359,11 @@ def _float(default, **bounds):
 
 
 def _tau(opts, name, model):
-    return "auto" if opts.get(name, "auto") == "auto" else float_option(opts, name, 1.0)
+    if opts.get(name, "auto") == "auto":
+        return "auto"
+    if "tau_scale" in opts:
+        raise InvalidInput(f"options.{name}: tau_scale needs tau 'auto', got {opts[name]!r}")
+    return float_option(opts, name, 1.0)
 
 
 def _init(opts, name, model):
@@ -456,16 +459,9 @@ def _trials(cfg: ExperimentConfig, model: datagen.ModelParams):
     return trials
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MMCL_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(n, 1)
-
-
 def _run_one(experiment: str, params: dict, fn) -> MetricRow:
+    """One trial's row; a failed trial is recorded in the flags column and
+    the sweep keeps going."""
     start = time.perf_counter()
     try:
         metrics = fn()
@@ -476,23 +472,6 @@ def _run_one(experiment: str, params: dict, fn) -> MetricRow:
     flags = metrics.pop("_flags", "")
     metrics["wall_time"] = time.perf_counter() - start
     return MetricRow(experiment=experiment, params=params, metrics=metrics, flags=flags)
-
-
-def run_trials(config: ExperimentConfig) -> list[MetricRow]:
-    """Execute every trial of the config and return one row per trial.
-
-    Failures of individual trials are recorded in the flags column; the
-    sweep keeps going. MMCL_THREADS caps the worker pool (default 1).
-    """
-    model = model_from_config(config.model)
-    trials = _trials(config, model)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, config.experiment, params, fn)
-                       for params, fn in trials]
-            return [f.result() for f in futures]
-    return [_run_one(config.experiment, params, fn) for params, fn in trials]
 
 
 def _param_names(rows: list[MetricRow]) -> list[str]:
@@ -560,7 +539,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     out = out_dir or config.output_dir
     if not out:
         raise InvalidInput("an output directory is required")
-    rows = run_trials(config)
+    trials = _trials(config, model_from_config(config.model))
+    rows = [_run_one(config.experiment, params, fn) for params, fn in trials]
     os.makedirs(out, exist_ok=True)
     write_results(os.path.join(out, "results.csv"), rows)
     header, table = summarize(rows)

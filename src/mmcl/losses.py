@@ -99,20 +99,6 @@ class LossSpec:
             "nu": self.nu, "tau": self.tau, "cn": self.cn, "rho": self.rho,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LossSpec":
-        if not isinstance(obj, dict):
-            raise InvalidInput("loss spec must be a JSON object")
-        unknown = set(obj) - {"phi", "psi", "epsilon", "nu", "tau", "cn", "rho"}
-        if unknown:
-            raise InvalidInput(f"unknown loss spec fields: {sorted(unknown)}")
-        merged = cls().to_json() | obj
-        return cls(
-            phi=merged["phi"], psi=merged["psi"],
-            epsilon=float(merged["epsilon"]), nu=float(merged["nu"]),
-            tau=float(merged["tau"]), cn=merged["cn"], rho=float(merged["rho"]),
-        )
-
 
 def c_n_value(rule: str, n: int) -> float:
     """Numeric normalizer for a batch of n pairs."""
@@ -125,15 +111,13 @@ def c_n_value(rule: str, n: int) -> float:
     raise InvalidInput(f"cn must be one of {CN_RULES}, got {rule!r}")
 
 
-def schedule_tau(r: int, n_unpaired: int, gamma: float = 1.0, scale: float = 1.0) -> float:
-    """Temperature scale / (1 + gamma) * sqrt(r / log n) for an unpaired pool."""
+def schedule_tau(r: int, n_unpaired: int, scale: float = 1.0) -> float:
+    """Temperature scale / 2 * sqrt(r / log n) for an unpaired pool."""
     if r < 1:
         raise InvalidInput(f"rank must be at least 1, got {r}")
     if n_unpaired < 2:
         raise InvalidInput(f"pool size must be at least 2, got {n_unpaired}")
-    if gamma < 0:
-        raise InvalidInput(f"gamma must be nonnegative, got {gamma}")
-    return float(scale / (1.0 + gamma) * np.sqrt(r / np.log(n_unpaired)))
+    return float(scale / 2.0 * np.sqrt(r / np.log(n_unpaired)))
 
 
 @dataclass(frozen=True)
@@ -345,23 +329,17 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> ContrastiveWeights:
     )
 
 
-def contrastive_cross_covariance(weights: ContrastiveWeights, x, xt, c_n) -> np.ndarray:
+def contrastive_cross_covariance(weights: ContrastiveWeights, x, xt, c_n: str) -> np.ndarray:
     """Weighted contrast of pair outer products against cross outer products.
 
-    c_n is a normalizer rule ("n(n-1)" or "n") or an explicit positive
-    number. Paired mode contrasts the diagonal against off-diagonal
-    cross terms; unpaired mode contrasts the stored pair set (weight nu)
-    against the full softmax table.
+    c_n is a normalizer rule, "n(n-1)" or "n". Paired mode contrasts the
+    diagonal against off-diagonal cross terms; unpaired mode contrasts the
+    stored pair set (weight nu) against the full softmax table.
     """
     x = as_matrix(x, "x")
     xt = as_matrix(xt, "xt")
     n = x.shape[0]
-    if isinstance(c_n, str):
-        cn = c_n_value(c_n, n)
-    else:
-        cn = float(c_n)
-        if not cn > 0:
-            raise InvalidInput(f"normalizer must be positive, got {c_n}")
+    cn = c_n_value(c_n, n)
     if weights.beta_off.shape != (n, xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
     if weights.mode == "paired":

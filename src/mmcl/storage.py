@@ -233,9 +233,19 @@ def _read_labels(path: str, count: int, k: int) -> np.ndarray:
     return labels
 
 
+def _load_shaped(path: str, rows: int | None, cols: int) -> np.ndarray:
+    """load_matrix, checked to have cols columns and, unless None, rows rows."""
+    arr = load_matrix(path)
+    if arr.shape[1] != cols or rows is not None and arr.shape[0] != rows:
+        want = f"{'any' if rows is None else rows} x {cols}"
+        raise InvalidInput(f"{path}: {arr.shape[0]} x {arr.shape[1]} matrix, expected {want}")
+    return arr
+
+
 def load_dataset(path: str):
     """Load a dataset directory written by save_dataset; a malformed meta.json
-    field, edge or label file raises InvalidInput naming the file."""
+    field, a matrix of the wrong shape, or a malformed edge or label file
+    raises InvalidInput naming the file."""
     meta_path = os.path.join(path, "meta.json")
     meta = load_json(meta_path)
     if not isinstance(meta, dict):
@@ -245,8 +255,9 @@ def load_dataset(path: str):
         raise InvalidInput(f"{meta_path}: kind must be one of {DATASET_KINDS}, got {kind!r}")
     p_n = float_option(meta, "p_n", 1.0 if kind == "unpaired" else 0.0, hi=1.0,
                        lo_open=False, where=f"{meta_path}: ")
-    x = load_matrix(os.path.join(path, "x.csv"))
-    xt = load_matrix(os.path.join(path, "xt.csv"))
+    n, d1, d2 = (int_option(meta, key, None, where=f"{meta_path}: ") for key in ("n", "d1", "d2"))
+    x = _load_shaped(os.path.join(path, "x.csv"), n, d1)
+    xt = _load_shaped(os.path.join(path, "xt.csv"), None if kind == "labeled-bipartite" else n, d2)
     edge_path = os.path.join(path, "edges.csv")
     rows = _int_columns(edge_path, _csv_rows(edge_path)[1:], 3, (x.shape[0], xt.shape[0]))
     edges = np.ascontiguousarray(rows[:, :2])

@@ -136,12 +136,17 @@ class TestEmbeddingWidth:
             bsgmp.embedding_width(1)
 
 
+def unit_embed(a, k):
+    """spectral_embed with unit degrees, which leaves the vectors unscaled."""
+    return bsgmp.spectral_embed(a, k, np.ones(a.shape[0]), np.ones(a.shape[1]))
+
+
 class TestSpectralEmbed:
     def test_two_bicliques_separate_by_sign(self):
         g, _, _ = biclique_union([4, 4], [4, 4])
         a_n = bsgmp.normalized_adjacency(g)
         dl, dr = g.degrees()
-        z = bsgmp.spectral_embed(a_n, 2, deg_left=dl, deg_right=dr)
+        z, _ = bsgmp.spectral_embed(a_n, 2, dl, dr)
         assert z.shape == (16, 1)
         z_l, z_r = z[:8], z[8:]
         for z in (z_l, z_r):
@@ -154,7 +159,7 @@ class TestSpectralEmbed:
     def test_width_follows_k(self):
         rng = np.random.default_rng(1)
         a_n = rng.random((40, 40)) * 0.1
-        z, info = bsgmp.spectral_embed(a_n, 10, return_info=True)
+        z, info = unit_embed(a_n, 10)
         assert z.shape == (80, 4)
         assert info["l"] == 4
         assert info["singular_values"].shape[0] >= 5
@@ -163,19 +168,19 @@ class TestSpectralEmbed:
         for sizes in (([5], [5]), ([3], [7]), ([7], [3])):
             g, _, _ = biclique_union(*sizes)
             a_n = bsgmp.normalized_adjacency(g)
-            _, info = bsgmp.spectral_embed(a_n, 2, return_info=True)
+            _, info = unit_embed(a_n, 2)
             assert info["singular_values"][0] == pytest.approx(1.0, abs=1e-14)
             assert info["degenerate"]
 
     def test_k_too_large(self):
         with pytest.raises(InvalidK):
-            bsgmp.spectral_embed(np.eye(3), 8)
+            unit_embed(np.eye(3), 8)
 
 
 def dense_embedding(a, l):
     """Vectors 2 .. l+1 from the full dense SVD, the embedding's oracle."""
     res = linalg.svd(a)
-    u, v = bsgmp._canonicalize_top_tie(res.u, res.v, res.s, None)
+    u, v = bsgmp._canonicalize_top_tie(res.u, res.v, res.s, np.ones(a.shape[0]))
     return res.s, u[:, 1:l + 1], v[:, 1:l + 1]
 
 
@@ -192,7 +197,7 @@ class TestLeadingSingularBlock:
 
     def check_against_dense(self, a, k):
         l = bsgmp.embedding_width(k)
-        z, info = bsgmp.spectral_embed(a, k, return_info=True)
+        z, info = unit_embed(a, k)
         s, u, v = dense_embedding(a, l)
         lead = info["singular_values"]
         assert lead.shape[0] >= l + 1
@@ -220,7 +225,7 @@ class TestLeadingSingularBlock:
         rng = np.random.default_rng(7 + shape[0])
         a = with_spectrum(rng, *shape, [2.0, 1.0, 0.5])
         assert self.check_against_dense(a, 10) == 2
-        _, info = bsgmp.spectral_embed(a, 10, return_info=True)
+        _, info = unit_embed(a, 10)
         assert np.all(info["singular_values"][3:] <= 1e-13 * 2.0)
 
     @pytest.mark.parametrize("shape", [(300, 200), (200, 300), (250, 250)])
@@ -237,7 +242,7 @@ class TestLeadingSingularBlock:
         # direction, which leaves vectors 2 and 3 constant on each component
         # and orthogonal to that direction.
         g, labels_l, labels_r = biclique_union([3, 4, 2, 5, 3, 2, 4, 3], [2, 3, 4, 2, 5, 3, 2, 4])
-        z, info = bsgmp.spectral_embed(bsgmp.normalized_adjacency(g), 4, return_info=True)
+        z, info = unit_embed(bsgmp.normalized_adjacency(g), 4)
         assert info["singular_values"].shape[0] == 8
         assert np.allclose(info["singular_values"], 1.0, rtol=0.0, atol=1e-13)
         assert not info["degenerate"]
@@ -257,7 +262,7 @@ class TestLeadingSingularBlock:
         a_n = bsgmp.normalized_adjacency(g)
         assert self.check_against_dense(a_n, 10) >= 2
         dl, dr = g.degrees()
-        z = bsgmp.spectral_embed(a_n, 10, deg_left=dl, deg_right=dr)
+        z, _ = bsgmp.spectral_embed(a_n, 10, dl, dr)
         isolated = np.concatenate([dl, dr]) == 0.0
         assert isolated.sum() >= 5
         assert np.all(z[isolated] == 0.0)

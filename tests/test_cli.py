@@ -16,6 +16,10 @@ from mmcl.errors import CONFIG_EXIT_CODE, NUMERICAL_EXIT_CODE, DegenerateData
 MODEL = {"d1": 6, "d2": 5, "r": 2, "snr": 2.0, "seed": 0}
 
 
+def drop_last_column(text):
+    return "".join(line.rpartition(",")[0] + "\n" for line in text.splitlines())
+
+
 def write_config(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -438,6 +442,18 @@ class TestMalformedInputs:
         ("paired", "edges.csv", lambda text: text + "0,99,1\n", "line 32: value out of range"),
         ("labeled-bipartite", "labels_left.csv", lambda text: "label\n0\n1\n",
          "2 labels for 30 rows"),
+        ("paired", "x.csv", lambda text: text.partition("\n")[2],
+         "29 x 6 matrix, expected 30 x 6"),
+        ("paired", "xt.csv", lambda text: text.partition("\n")[2],
+         "29 x 5 matrix, expected 30 x 5"),
+        ("paired", "x.csv", drop_last_column, "30 x 5 matrix, expected 30 x 6"),
+        ("labeled-bipartite", "xt.csv", drop_last_column, "30 x 4 matrix, expected any x 5"),
+        ("paired", "meta.json", lambda text: text.replace('"n": 30,', ''),
+         "n: must be an integer"),
+        ("paired", "meta.json", lambda text: text.replace('"d1": 6', '"d1": "6"'),
+         "d1: must be an integer"),
+        ("paired", "meta.json", lambda text: text.replace('"d2": 5', '"d2": 5.5'),
+         "d2: must be an integer"),
     ])
     def test_inconsistent_dataset_exits_2(self, tmp_path, capsys, kind, file, edit, fragment):
         fields = ({"n": 30, "p": 0.0} if kind == "paired"

@@ -4,8 +4,6 @@ import csv
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -429,29 +427,6 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert rows[1][0] == "gradcheck"
 
-    def test_thread_pool_matches_serial_run(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(VALID_CONFIG))
-        serial = tmp_path / "serial"
-        threaded = tmp_path / "threaded"
-        code = (
-            "import json, sys\n"
-            "from mmcl.harness import ExperimentConfig, run_experiment\n"
-            "cfg = ExperimentConfig.from_json(json.load(open(sys.argv[1])))\n"
-            "run_experiment(cfg, out_dir=sys.argv[2])\n"
-        )
-        base = dict(os.environ)
-        env_serial = dict(base, MMCL_THREADS="1")
-        env_threaded = dict(base, MMCL_THREADS="3")
-        subprocess.run([sys.executable, "-c", code, str(cfg_path), str(serial)],
-                       check=True, env=env_serial)
-        subprocess.run([sys.executable, "-c", code, str(cfg_path), str(threaded)],
-                       check=True, env=env_threaded)
-        assert rows_without_wall_time(serial / "results.csv") == \
-            rows_without_wall_time(threaded / "results.csv")
-        assert (serial / "summary.csv").read_bytes() == \
-            (threaded / "summary.csv").read_bytes()
-
     def test_distortion_sweep_separates_clean_from_corrupted(self, tmp_path):
         cfg = ExperimentConfig.from_json({
             "experiment": "distortion",
@@ -521,6 +496,7 @@ class TestRunExperiment:
         ("sscl-compare", {"n_grid": [4]}, {"noise_spikes": -1}, "noise_spikes"),
         ("sscl-compare", {"n_grid": [4]}, {"noise_spike_scale": -math.inf},
          "noise_spike_scale"),
+        ("unpaired", {"n_grid": [4], "ratio_grid": [1]}, {"tau": 0.5, "tau_scale": 2.0}, "tau"),
     ])
     def test_bad_option_rejected_before_any_trial(self, tmp_path, experiment, sweep,
                                                   options, field):

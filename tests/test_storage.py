@@ -275,6 +275,13 @@ class TestLoadDatasetChecks:
          "k: must be an integer"),
         ("labeled-bipartite", lambda m: dict(m, k="x"), "k: must be an integer"),
         ("labeled-bipartite", lambda m: dict(m, k=True), "k: must be an integer"),
+        ("paired", lambda m: {f: v for f, v in m.items() if f != "n"}, "n: must be an integer"),
+        ("paired", lambda m: dict(m, n="30"), "n: must be an integer"),
+        ("paired", lambda m: {f: v for f, v in m.items() if f != "d1"}, "d1: must be an integer"),
+        ("paired", lambda m: dict(m, d1=5.0), "d1: must be an integer"),
+        ("labeled-bipartite", lambda m: {f: v for f, v in m.items() if f != "d2"},
+         "d2: must be an integer"),
+        ("labeled-bipartite", lambda m: dict(m, d2=None), "d2: must be an integer"),
     ])
     def test_bad_meta_field(self, tmp_path, kind, edit, fragment):
         data = self.edit_meta(tmp_path, kind, edit)
@@ -289,6 +296,25 @@ class TestLoadDatasetChecks:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
         with pytest.raises(InvalidInput, match=re.escape(f"{path} line 3: value out of range")):
+            storage.load_dataset(str(data))
+
+    @pytest.mark.parametrize("kind,name,edit,shape", [
+        ("paired", "x.csv", lambda lines: lines[1:], "29 x 5 matrix, expected 30 x 5"),
+        ("paired", "xt.csv", lambda lines: lines[:-1], "29 x 4 matrix, expected 30 x 4"),
+        ("paired", "x.csv", lambda lines: [ln.rpartition(",")[0] for ln in lines],
+         "30 x 4 matrix, expected 30 x 5"),
+        ("paired", "xt.csv", lambda lines: [ln + ",0.0" for ln in lines],
+         "30 x 5 matrix, expected 30 x 4"),
+        ("labeled-bipartite", "x.csv", lambda lines: lines[:-1],
+         "29 x 5 matrix, expected 30 x 5"),
+        ("labeled-bipartite", "xt.csv", lambda lines: [ln.rpartition(",")[0] for ln in lines],
+         "30 x 3 matrix, expected any x 4"),
+    ])
+    def test_matrix_shape_must_match_meta(self, tmp_path, kind, name, edit, shape):
+        data = self.write(tmp_path, kind)
+        path = data / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: {shape}")):
             storage.load_dataset(str(data))
 
     def test_integer_beyond_64_bits(self, tmp_path):
