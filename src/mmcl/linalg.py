@@ -15,24 +15,24 @@ GAP_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a 2-D float64 array.
+    """a as a 2-D float64 array; InvalidInput, labelled with name in the
+    message, when it is not 2-D or contains non-finite entries."""
+    return require_finite(as_2d(a, name), name)
 
-    Args:
-      a: array-like input.
-      name: label used in error messages.
 
-    Returns:
-      A float64 ndarray of shape (m, n).
-
-    Raises:
-      InvalidInput: if the input is not 2-D or contains non-finite entries.
-    """
+def as_2d(a, name: str = "matrix") -> np.ndarray:
+    """as_matrix without the finiteness scan, for callers that check row blocks."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInput(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite entries")
     return arr
+
+
+def require_finite(block: np.ndarray, name: str) -> np.ndarray:
+    """block itself, or InvalidInput naming it when an entry is NaN or infinite."""
+    if not np.all(np.isfinite(block)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return block
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

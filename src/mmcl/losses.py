@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_2d, as_matrix, require_finite
 from .errors import InvalidInput, NonFinite
 
 PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
 CN_RULES = ("n(n-1)", "n")
-_BLOCK_ROWS = 64  # rows per block when unpaired_weights streams its table
+_BLOCK_ROWS = 64  # rows per block of the streamed unpaired softmax table
 
 
 @dataclass(frozen=True)
@@ -255,23 +255,53 @@ def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
 
 @dataclass(frozen=True)
 class ContrastiveWeights:
-    """Weight tables that express a loss as a pair-versus-cross contrast.
-
-    In paired mode beta_diag holds the per-sample weight on the observed
-    pair and beta_off the (zero-diagonal) weights on cross pairs, and the
-    raw alpha tables are kept for diagnostics. In unpaired mode beta_off
-    holds the full symmetrized softmax table (diagonal included),
-    beta_diag is zero, and edges carries the pair set whose empirical
-    cross-covariance enters with weight nu.
-    """
+    """Paired weight tables that express a loss as a pair-versus-cross contrast:
+    beta_diag on each observed pair, the zero-diagonal beta_off on cross
+    pairs, and the raw alpha tables for diagnostics."""
 
     beta_diag: np.ndarray
     beta_off: np.ndarray
     mode: str
     alpha: np.ndarray | None = None
     alpha_bar: np.ndarray | None = None
-    edges: np.ndarray | None = None
-    nu: float | None = None
+
+
+@dataclass(frozen=True)
+class UnpairedWeights:
+    """An unpaired pool's symmetrized softmax table, never stored, plus the pair
+    set whose empirical cross-covariance enters with weight nu. row_blocks
+    rebuilds the table from sims (held, not copied), the column maxima of
+    sims / tau and 0.5 / the column sums; beta_off builds it on each access."""
+
+    sims: np.ndarray
+    tau: float
+    col_max: np.ndarray
+    half_col: np.ndarray
+    edges: np.ndarray
+    nu: float
+    beta_diag: np.ndarray  # zeros: no pool entry is an observed pair
+    mode = "unpaired"
+
+    @property
+    def beta_off(self) -> np.ndarray:
+        beta = np.empty(self.sims.shape)
+        for rows, block in self.row_blocks():
+            beta[rows] = block
+        return beta
+
+    def row_blocks(self):
+        """(rows, table[rows]) for consecutive blocks of _BLOCK_ROWS rows."""
+        for lo in range(0, self.sims.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            row_part = self.sims[rows] / self.tau
+            _log_sum_exp(row_part, 1, normalize=True)
+            row_part *= 0.5
+            block = self.sims[rows] / self.tau
+            block -= self.col_max
+            np.exp(block, out=block)
+            block *= self.half_col
+            block += row_part
+            yield rows, block
 
 
 def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
@@ -287,70 +317,60 @@ def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
     )
 
 
-def unpaired_weights(sims, tau: float, nu: float, edges) -> ContrastiveWeights:
-    """Symmetrized full-support softmax table plus a pair set for unpaired data.
-
-    The table averages the row softmax and the column softmax of
-    sims / tau over all entries (no diagonal anchoring: nothing marks any
-    entry as an observed pair).
-    """
-    sims = as_matrix(sims, "sims")
-    if not tau > 0:
-        raise InvalidInput(f"tau must be positive, got {tau}")
-    if not nu >= 1.0:
-        raise InvalidInput(f"nu must be at least 1, got {nu}")
+def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
+    """Full-support softmax table of sims / tau, the average of its row and its
+    column softmax over all entries (nothing marks an entry as an observed
+    pair), plus a pair set. One pass over row blocks keeps the column maxima and
+    sums; a non-finite entry raises InvalidInput, an overflowing sims / tau
+    NonFinite."""
+    sims = as_2d(sims, "sims")
+    if not 0 < tau < np.inf:
+        raise InvalidInput(f"tau must be positive and finite, got {tau}")
+    if not 1.0 <= nu < np.inf:
+        raise InvalidInput(f"nu must be at least 1 and finite, got {nu}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.shape[0] == 0:
         raise InvalidInput("unpaired weights need a nonempty pair set")
-    if (np.any(edges[:, 0] < 0) or np.any(edges[:, 0] >= sims.shape[0])
-            or np.any(edges[:, 1] < 0) or np.any(edges[:, 1] >= sims.shape[1])):
+    if np.any(edges < 0) or np.any(edges >= sims.shape):
         raise InvalidInput("pair indices out of range")
-    # Two passes over row blocks: the first parks exp(a - column max) in
-    # beta and sums the columns, the second adds each block's row softmax.
-    col_max = np.max(sims, axis=0) / tau
-    col_sum = np.zeros(sims.shape[1])
-    beta = np.empty(sims.shape)
-    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, sims.shape[0], _BLOCK_ROWS)]
-    for rows in blocks:
-        block = np.divide(sims[rows], tau, out=beta[rows])
-        block -= col_max
-        col_sum += np.sum(np.exp(block, out=block), axis=0)
-    half_col = 0.5 / col_sum
-    for rows in blocks:
-        row_part = sims[rows] / tau
-        _log_sum_exp(row_part, 1, normalize=True)
-        row_part *= 0.5
-        block = beta[rows]
-        block *= half_col
-        block += row_part
-    return ContrastiveWeights(
-        beta_diag=np.zeros(sims.shape[0]), beta_off=beta, mode="unpaired",
-        edges=edges, nu=float(nu),
-    )
+    with np.errstate(over="ignore"):
+        col_max = np.max(sims, axis=0) / tau
+        col_sum = np.zeros(sims.shape[1])
+        for lo in range(0, sims.shape[0], _BLOCK_ROWS):
+            block = sims[lo:lo + _BLOCK_ROWS] / tau
+            if not np.all(np.isfinite(block)):
+                require_finite(sims[lo:lo + _BLOCK_ROWS], "sims")
+                raise NonFinite(f"sims / tau overflows at tau {tau}")
+            block -= col_max
+            col_sum += np.sum(np.exp(block, out=block), axis=0)
+    return UnpairedWeights(sims=sims, tau=tau, col_max=col_max, half_col=0.5 / col_sum,
+                           edges=edges, nu=float(nu), beta_diag=np.zeros(sims.shape[0]))
 
 
-def contrastive_cross_covariance(weights: ContrastiveWeights, x, xt, c_n: str) -> np.ndarray:
+def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, x, xt,
+                                 c_n: str) -> np.ndarray:
     """Weighted contrast of pair outer products against cross outer products.
 
-    c_n is a normalizer rule, "n(n-1)" or "n". Paired mode contrasts the
-    diagonal against off-diagonal cross terms; unpaired mode contrasts the
-    stored pair set (weight nu) against the full softmax table.
+    c_n is a normalizer rule, "n(n-1)" or "n". ContrastiveWeights contrast
+    the diagonal against off-diagonal cross terms; UnpairedWeights contrast
+    the stored pair set (weight nu) against the full softmax table, which is
+    streamed in row blocks.
     """
     x = as_matrix(x, "x")
     xt = as_matrix(xt, "xt")
     n = x.shape[0]
     cn = c_n_value(c_n, n)
-    if weights.beta_off.shape != (n, xt.shape[0]):
+    unpaired = isinstance(weights, UnpairedWeights)
+    if not unpaired and weights.mode != "paired":
+        raise InvalidInput(f"unknown weights mode {weights.mode!r}")
+    if (weights.sims if unpaired else weights.beta_off).shape != (n, xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
-    if weights.mode == "paired":
+    if not unpaired:
         mixed = weights.beta_diag[:, None] * xt - weights.beta_off @ xt
         return (x.T @ mixed) / cn
-    if weights.mode == "unpaired":
-        if weights.edges is None or weights.nu is None:
-            raise InvalidInput("unpaired weights must carry a pair set and nu")
-        pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
-        return (weights.nu * pair_term - x.T @ (weights.beta_off @ xt)) / cn
-    raise InvalidInput(f"unknown weights mode {weights.mode!r}")
+    y = np.vstack([block @ xt for _, block in weights.row_blocks()])
+    pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
+    return (weights.nu * pair_term - x.T @ y) / cn
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):

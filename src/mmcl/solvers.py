@@ -219,7 +219,7 @@ def estimate_edges(sims) -> EdgeEstimate:
     argmax in a square similarity matrix, ties broken lexicographically by
     index. The pairs are not necessarily one-to-one: a row or a column may
     appear in more than one of them."""
-    sims = linalg.as_matrix(sims, "sims")
+    sims = linalg.as_2d(sims, "sims")
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput(f"similarity matrix must be square, got {sims.shape}")
     n = sims.shape[0]
@@ -230,7 +230,7 @@ def estimate_edges(sims) -> EdgeEstimate:
     col_max = np.full(n, -np.inf)
     col_best = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _ARGMAX_BLOCK_ROWS):
-        block = sims[lo:lo + _ARGMAX_BLOCK_ROWS]
+        block = linalg.require_finite(sims[lo:lo + _ARGMAX_BLOCK_ROWS], "sims")
         block_max = np.max(block, axis=0)
         cols = np.flatnonzero(block_max > col_max)
         col_max[cols] = block_max[cols]

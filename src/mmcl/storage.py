@@ -84,16 +84,26 @@ def load_matrix(path: str) -> np.ndarray:
     if not text:
         return np.empty((0, 0))
     first_line = raw[:len(raw) - len(raw.lstrip())].count("\n") + 1
-    rows = []
-    for n, line in enumerate(text.splitlines(), start=first_line):
+    lines = text.splitlines()
+    arr = np.empty((0, 0))
+    # loadtxt skips blank lines, strips U+001F and rejects "1_0", which float()
+    # reads, so text it does not parse to one row per line is read line by line.
+    if "\x1f" not in text:
         try:
-            rows.append([float(c) for c in line.split(",")])
+            arr = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:
-            raise InvalidInput(f"{path} line {n}: non-numeric cell in {line!r}") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise InvalidInput(
-                f"{path} line {n}: {len(rows[-1])} cells, expected {len(rows[0])}")
-    arr = np.asarray(rows, dtype=np.float64)
+            pass
+    if arr.shape[0] != len(lines):
+        rows = []
+        for n, line in enumerate(lines, start=first_line):
+            try:
+                rows.append([float(c) for c in line.split(",")])
+            except ValueError:
+                raise InvalidInput(f"{path} line {n}: non-numeric cell in {line!r}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise InvalidInput(
+                    f"{path} line {n}: {len(rows[-1])} cells, expected {len(rows[0])}")
+        arr = np.asarray(rows, dtype=np.float64)
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise InvalidInput(f"{path} line {first_line + int(np.argmax(bad))}: non-finite cell")

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,19 @@ class TestMalformedInputs:
         assert code == CONFIG_EXIT_CODE
         assert field in err
         assert not (tmp_path / "fit").exists()
+
+    def test_overflowing_semi_tau_exits_3(self, tmp_path, capsys):
+        # sims / tau overflows in the unpaired step: one line naming tau,
+        # and no numpy warning before it.
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=10, subdir="pool")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired", pool,
+                                          "--out", str(tmp_path / "fit"), "--r", "1",
+                                          "--tau", "1e-320"])
+        assert code == NUMERICAL_EXIT_CODE
+        assert "tau" in err
 
     def test_infinite_tau_for_gd_exits_2(self, tmp_path, capsys):
         data = gen_paired(tmp_path, n=10)

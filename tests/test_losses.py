@@ -1,5 +1,7 @@
 """Loss family: specs, similarity, weight tables, contrast matrix, gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +405,46 @@ class TestUnpairedWeights:
             tracemalloc.stop()
         assert peak <= 2 * w.beta_off.nbytes
 
+    def test_table_is_rebuilt_on_each_access(self):
+        sims = np.random.default_rng(22).standard_normal((130, 90))
+        w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=[[0, 0]])
+        first = w.beta_off
+        first[:] = 0.0
+        again = w.beta_off
+        assert again is not first
+        assert np.abs(again - two_softmax_table(sims, 0.5)).max() < 1e-14
+
+    @pytest.mark.parametrize("where,value", [
+        ((699, 3), np.nan),      # only in the ragged last block
+        ((640, 529), np.nan),    # first row of the ragged last block
+        ((5, 17), -np.inf),      # a lone -inf leaves every column max finite
+        ((300, 0), np.inf),
+    ])
+    def test_non_finite_entry_rejected(self, where, value):
+        sims = np.random.default_rng(23).standard_normal((700, 530))
+        sims[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="non-finite"):
+                losses.unpaired_weights(sims, tau=0.5, nu=1.0, edges=[[0, 0]])
+
+    def test_non_finite_tau_or_nu_rejected(self):
+        sims = np.random.default_rng(24).standard_normal((6, 6))
+        for tau, nu in ((np.inf, 2.0), (np.nan, 2.0), (-np.inf, 2.0),
+                        (0.5, np.inf), (0.5, np.nan)):
+            with pytest.raises(InvalidInput):
+                losses.unpaired_weights(sims, tau=tau, nu=nu, edges=[[0, 0]])
+
+    @pytest.mark.parametrize("tau", [1e-320, 5e-324, 1e-308])
+    def test_overflowing_ratio_raises_non_finite_naming_tau(self, tau):
+        # sims / tau overflows somewhere: a numerical error that names tau,
+        # and no numpy warning on the way.
+        sims = 3.0 * np.random.default_rng(25).standard_normal((200, 150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="tau"):
+                losses.unpaired_weights(sims, tau=tau, nu=2.0, edges=[[0, 0]])
+
     def test_validation(self):
         sims = np.zeros((4, 4))
         edges = np.array([[0, 0]])
@@ -456,6 +498,56 @@ class TestContrastiveCrossCovariance:
                 expected -= w.beta_off[i, j] * np.outer(x[i], xt[j])
         expected /= 4.0
         assert np.allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,nu", [(70, 45, 1.0), (70, 45, 2.0), (130, 64, 2.0),
+                                        (64, 130, 1.0), (65, 3, 2.0)])
+    def test_streamed_unpaired_loop_oracle(self, n, m, nu):
+        # Ragged last blocks (of one row at n = 65), non-square pools, and a
+        # pool of exactly one block.
+        rng = np.random.default_rng(n * m)
+        x = rng.standard_normal((n, 3))
+        xt = rng.standard_normal((m, 2))
+        sims = 2.0 * rng.standard_normal((n, m))
+        edges = np.stack([rng.integers(0, n, 9), rng.integers(0, m, 9)], axis=1)
+        w = losses.unpaired_weights(sims, tau=0.6, nu=nu, edges=edges)
+        out = losses.contrastive_cross_covariance(w, x, xt, "n(n-1)")
+        beta = two_softmax_table(sims, 0.6)
+        expected = np.zeros((3, 2))
+        for i, j in edges:
+            expected += nu * np.outer(x[i], xt[j])
+        for i in range(n):
+            for j in range(m):
+                expected -= beta[i, j] * np.outer(x[i], xt[j])
+        expected /= n * (n - 1.0)
+        assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_streamed_unpaired_matches_dense_product(self, nu):
+        # The parent route, x.T @ (beta @ xt) on the dense table, to 1e-14
+        # relative: 700 rows span ten full blocks and a ragged one.
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((700, 12))
+        xt = rng.standard_normal((530, 9))
+        sims = 3.0 * rng.standard_normal((700, 530))
+        edges = np.stack([np.arange(530), np.arange(530)], axis=1)
+        w = losses.unpaired_weights(sims, tau=0.4, nu=nu, edges=edges)
+        out = losses.contrastive_cross_covariance(w, x, xt, "n")
+        pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
+        dense = (nu * pair_term - x.T @ (w.beta_off @ xt)) / 700.0
+        assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_streamed_unpaired_never_builds_the_table(self, monkeypatch):
+        # Neither the shape check nor the contrast touches beta_off.
+        rng = np.random.default_rng(27)
+        x, xt = rng.standard_normal((90, 3)), rng.standard_normal((90, 2))
+        w = losses.unpaired_weights(rng.standard_normal((90, 90)), 0.5, 2.0, [[0, 1]])
+        monkeypatch.setattr(losses.UnpairedWeights, "beta_off",
+                            property(lambda self: pytest.fail("dense table built")))
+        assert losses.contrastive_cross_covariance(w, x, xt, "n").shape == (3, 2)
+        with pytest.raises(InvalidInput, match="does not match"):
+            losses.contrastive_cross_covariance(w, x[:80], xt, "n")
+        with pytest.raises(InvalidInput, match="does not match"):
+            losses.contrastive_cross_covariance(w, x, xt[:80], "n")
 
     def test_linear_weights_reduce_to_centered_covariance(self):
         # With all-ones tables and the n(n-1) normalizer the contrast is

@@ -298,6 +298,19 @@ class TestEstimateEdges:
         assert np.array_equal(a.edges, b.edges)
         assert a.edges.shape == (4, 2)
 
+    @pytest.mark.parametrize("where,value", [
+        ((99, 40), np.nan),      # only in the ragged last argmax block
+        ((96, 0), np.nan),       # first row of that block
+        ((7, 3), -np.inf),       # a lone -inf moves no column maximum
+        ((50, 50), np.inf),
+    ])
+    def test_non_finite_entry_rejected(self, where, value):
+        assert 100 % solvers._ARGMAX_BLOCK_ROWS
+        sims = np.random.default_rng(17).standard_normal((100, 100))
+        sims[where] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            solvers.estimate_edges(sims)
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             solvers.estimate_edges(np.zeros((3, 4)))
@@ -350,6 +363,22 @@ class TestSemisupervised:
         assert wins >= 18
         assert np.median(semi_err) < 0.45
         assert np.median(paired_err) > 0.60
+
+    def test_peak_memory_holds_one_pool_table(self):
+        # The pool's similarity table is the only n x n array: the softmax
+        # table is streamed into the contrast in row blocks.
+        import tracemalloc
+        model = datagen.random_model(40, 39, 10, snr=1 / 0.3, seed=0)
+        ds = datagen.sample_paired(model, 200, 0.0, seed=(28, 1))
+        pool = datagen.sample_unpaired(model, 1500, seed=(28, 2))
+        spec = LossSpec.clip(tau=losses.schedule_tau(10, 1500), nu=2.0)
+        tracemalloc.start()
+        try:
+            solvers.fit_semisupervised(ds, pool, 10, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1500 * 1500 * 8
 
     def test_meta_and_flags(self):
         model = datagen.random_model(6, 5, 2, snr=2.0, seed=1)

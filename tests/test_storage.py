@@ -1,12 +1,16 @@
 """Tests for deterministic CSV/JSON serialization and directory layouts."""
 
+import contextlib
 import hashlib
 import json
 import os
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmcl import bsgmp, datagen, solvers, storage
 from mmcl.errors import InvalidInput
@@ -97,6 +101,44 @@ class TestMatrixRoundTrip:
         with pytest.raises(InvalidInput, match=fragment) as info:
             storage.load_matrix(str(path))
         assert f"{path} line {line}:" in str(info.value)
+
+
+CSV_BASE = "1.5,-2,3e-3\n0,7.25,-0.5\n4,5,6\n"
+CSV_DAMAGE = ["\n", "\n\n", "\x0b", "\x0c", "\x1f", "_", "1_0", "\uff11", "\ufeff", ",",
+              ",\n", " ", "\t", "x", "nan", "inf", "-inf", "1e400", "-1e400", "NaN", "0x1"]
+
+
+def load_matrix_outcome(path, fast):
+    """load_matrix's array or error message, with or without the loadtxt parse."""
+    with contextlib.ExitStack() as stack:
+        if not fast:
+            stack.enter_context(mock.patch.object(np, "loadtxt", side_effect=ValueError))
+        try:
+            return storage.load_matrix(path)
+        except InvalidInput as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(CSV_DAMAGE), st.integers(0, len(CSV_BASE))),
+                min_size=1, max_size=3))
+def test_fast_csv_parse_matches_line_reader(damage):
+    # Blank lines, vertical tabs, underscores, non-finite tokens, a BOM and
+    # trailing commas: the loadtxt parse and the line-by-line reader agree
+    # on the array or on the error message.
+    text = CSV_BASE
+    for token, pos in damage:
+        text = text[:pos] + token + text[pos:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast, slow = load_matrix_outcome(path, True), load_matrix_outcome(path, False)
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert isinstance(fast, np.ndarray) and fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
 
 
 class TestJsonHelpers:
