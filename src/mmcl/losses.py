@@ -189,13 +189,11 @@ def _aggregate(spec: LossSpec, z: np.ndarray, axis: int, want_alpha: bool = Fals
     diag = np.einsum("ii->i", z)  # writable view of the diagonal
     if spec.psi == "exp":
         z /= spec.tau
-        with np.errstate(divide="ignore"):
-            diag += np.log(spec.epsilon)
+        diag += np.log(spec.epsilon)
         if spec.phi != "identity":
             lse = _log_sum_exp(z, axis, log1p=spec.phi == "log1p", normalize=want_alpha)
             return spec.tau * lse.ravel(), z
-        with np.errstate(over="ignore"):
-            np.exp(z, out=z)
+        np.exp(z, out=z)
         return np.sum(z, axis=axis), (z / spec.tau if want_alpha else z)
     # psi identity: psi' = 1 and the aggregate is a plain weighted sum
     diag *= spec.epsilon
@@ -207,32 +205,21 @@ def _aggregate(spec: LossSpec, z: np.ndarray, axis: int, want_alpha: bool = Fals
         if want_alpha and np.any(arg <= 0):
             raise NonFinite("log of a nonpositive aggregate" if spec.phi == "log"
                             else "log1p of an aggregate at or below -1")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dphi = spec.tau / arg
-            t = spec.tau * (np.log(t) if spec.phi == "log" else np.log1p(t))
+        dphi = spec.tau / arg
+        t = spec.tau * (np.log(t) if spec.phi == "log" else np.log1p(t))
     if want_alpha:
         z[...] = dphi
         diag *= spec.epsilon
     return t.ravel(), z
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
 def _anchored(spec: LossSpec, sims: np.ndarray, want_alpha: bool = False):
     """_aggregate of the row-anchored and the column-anchored tables; sims is overwritten."""
     nu_diag = spec.nu * np.diag(sims)
     row = _aggregate(spec, sims - nu_diag[:, None], 1, want_alpha)
     sims -= nu_diag[None, :]
     return row, _aggregate(spec, sims, 0, want_alpha)
-
-
-def _alpha_tables(spec: LossSpec, sims: np.ndarray):
-    """alpha and alpha-bar transposed at the given similarities, which are overwritten."""
-    sims = as_matrix(sims, "sims")
-    if sims.shape[0] != sims.shape[1]:
-        raise InvalidInput(f"paired similarities must be square, got {sims.shape}")
-    if sims.shape[0] < 2:
-        raise InvalidInput("need at least 2 samples")
-    (_, alpha), (_, alpha_bar_t) = _anchored(spec, sims, want_alpha=True)
-    return alpha, alpha_bar_t
 
 
 def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
@@ -242,15 +229,7 @@ def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
     log leaves its domain; iterative solvers treat such steps as
     rejected rather than fatal.
     """
-    x, xt = _data_arrays(data)
-    sims = similarity_matrix(enc, x, xt)
-    if sims.shape[0] != sims.shape[1]:
-        raise InvalidInput("paired loss needs equally many samples per modality")
-    cn = c_n_value(spec.cn, sims.shape[0])
-    (row_totals, _), (col_totals, _) = _anchored(spec, sims)
-    contrast = np.sum(row_totals) + np.sum(col_totals)
-    ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
-    return float(contrast / (2.0 * cn) + ridge)
+    return _value_and_gradient(spec, enc, *_data_arrays(data), want_gradient=False)[0]
 
 
 @dataclass(frozen=True)
@@ -306,7 +285,12 @@ class UnpairedWeights:
 
 def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
     """Beta weight tables of the loss at the given similarity matrix."""
-    alpha, alpha_bar_t = _alpha_tables(spec, np.array(sims, dtype=np.float64))
+    sims = as_matrix(np.array(sims, dtype=np.float64), "sims")
+    if sims.shape[0] != sims.shape[1]:
+        raise InvalidInput(f"paired similarities must be square, got {sims.shape}")
+    if sims.shape[0] < 2:
+        raise InvalidInput("need at least 2 samples")
+    (_, alpha), (_, alpha_bar_t) = _anchored(spec, sims, want_alpha=True)
     tot = np.sum(alpha, axis=1) + np.sum(alpha_bar_t, axis=0)
     beta_diag = spec.nu * tot / 2.0 - (np.diag(alpha) + np.diag(alpha_bar_t)) / 2.0
     beta_off = (alpha + alpha_bar_t) / 2.0
@@ -380,12 +364,25 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     similarity derivatives (an independent route from the beta tables of
     compute_weights; the two agree analytically).
     """
-    x, xt = _data_arrays(data)
+    return _value_and_gradient(spec, enc, *_data_arrays(data))[1]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
+def _value_and_gradient(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
+                        want_gradient: bool = True):
+    """(loss_value, loss_gradient or None) from one similarity matrix and one
+    pass over its weight tables; x and xt are validated 2-D arrays. With
+    want_gradient a log aggregate outside its domain raises NonFinite."""
     sims = similarity_matrix(enc, x, xt)
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput("paired loss needs equally many samples per modality")
     cn = c_n_value(spec.cn, sims.shape[0])
-    w, alpha_bar_t = _alpha_tables(spec, sims)
+    (row_totals, w), (col_totals, alpha_bar_t) = _anchored(spec, sims, want_gradient)
+    contrast = np.sum(row_totals) + np.sum(col_totals)
+    ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
+    value = float(contrast / (2.0 * cn) + ridge)
+    if not want_gradient:
+        return value, None
     tot = np.sum(w, axis=1) + np.sum(alpha_bar_t, axis=0)
     diag_w = (np.diag(w) + np.diag(alpha_bar_t) - spec.nu * tot) / (2.0 * cn)
     w += alpha_bar_t
@@ -394,4 +391,4 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     p = x.T @ (w @ xt)
     grad_g1 = enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1
     grad_g2 = enc.g1 @ p + spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2
-    return grad_g1, grad_g2
+    return value, (grad_g1, grad_g2)

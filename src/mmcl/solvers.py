@@ -17,6 +17,7 @@ from .errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
 from .losses import (
     EncoderPair,
     LossSpec,
+    _value_and_gradient,
     compute_weights,
     contrastive_cross_covariance,
     loss_gradient,
@@ -124,9 +125,11 @@ def fit_gradient_descent(
     """Full-batch gradient descent with backtracking on the step size.
 
     A step that does not decrease the loss halves the learning rate and
-    retries, with at most 20 halvings over the whole run. lr = 0 returns
-    the initialization unchanged with iterations = max_iter and a
-    no-progress flag.
+    retries, with at most 20 halvings over the whole run. Each candidate
+    is scored and differentiated in one pass over its weight tables, so
+    an accepted step carries the next iteration's gradient. lr = 0
+    returns the initialization unchanged with iterations = max_iter and
+    a no-progress flag.
     """
     x = linalg.as_matrix(data.x, "x")
     xt = linalg.as_matrix(data.xt, "xt")
@@ -148,8 +151,9 @@ def fit_gradient_descent(
     flags: list[str] = []
     halvings = 0
     steps = 0
+    grad = loss_gradient(spec, enc, data) if max_iter > 0 else None
     for _ in range(max_iter):
-        grad1, grad2 = loss_gradient(spec, enc, data)
+        grad1, grad2 = grad
         if not (np.all(np.isfinite(grad1)) and np.all(np.isfinite(grad2))):
             raise NonFinite(f"gradient not finite at iteration {steps}")
         gnorm = math.sqrt(float(np.sum(grad1**2) + np.sum(grad2**2)))
@@ -159,9 +163,12 @@ def fit_gradient_descent(
         accepted = False
         while True:
             cand = EncoderPair(g1=enc.g1 - lr * grad1, g2=enc.g2 - lr * grad2)
-            cand_loss = loss_value(spec, cand, data)
+            try:
+                cand_loss, cand_grad = _value_and_gradient(spec, cand, x, xt)
+            except NonFinite:  # a log aggregate outside its domain
+                cand_loss = math.nan
             if np.isfinite(cand_loss) and cand_loss <= cur_loss:
-                enc, cur_loss = cand, cand_loss
+                enc, cur_loss, grad = cand, cand_loss, cand_grad
                 accepted = True
                 break
             if halvings >= 20:

@@ -393,6 +393,22 @@ class TestMalformedInputs:
         assert code == NUMERICAL_EXIT_CODE
         assert "tau" in err
 
+    @pytest.mark.parametrize("fit", [
+        ["gd", "--phi", "log1p", "--psi", "exp", "--epsilon", "0", "--cn", "n"],
+        ["semi", "--unpaired", "pool", "--init", "infonce"]])
+    def test_overflowing_gd_tau_exits_3(self, tmp_path, capsys, fit):
+        # sims / tau overflows in the descent: one line, no numpy warning.
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=10, subdir="pool")
+        fit = [pool if arg == "pool" else arg for arg in fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(capsys, ["fit"] + fit + ["--data", data, "--out",
+                                                         str(tmp_path / "fit"), "--r", "1",
+                                                         "--tau", "1e-320"])
+        assert code == NUMERICAL_EXIT_CODE
+        assert "gradient not finite at iteration 0" in err
+
     def test_infinite_tau_for_gd_exits_2(self, tmp_path, capsys):
         data = gen_paired(tmp_path, n=10)
         code, err = self.run(capsys, ["fit", "gd", "--data", data, "--out",

@@ -5,7 +5,7 @@ import pytest
 
 from mmcl import datagen, linalg, losses, solvers
 from mmcl.datagen import PairedDataset
-from mmcl.errors import DegenerateData, InvalidInput, InvalidRank
+from mmcl.errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
 from mmcl.losses import EncoderPair, LossSpec
 
 
@@ -178,6 +178,127 @@ class TestGradientDescent:
             LossSpec.linear(rho=1.0), ds, 2, lr=0.1, max_iter=50,
             init=closed.enc)
         assert fit.final_loss <= closed.final_loss + 1e-10
+
+
+def two_pass_descent(spec, data, r, lr, max_iter, tol, seed=0, init=None):
+    """fit_gradient_descent's loop with a loss_value per candidate and a
+    loss_gradient per step: the independent oracle for the one-pass loop."""
+    enc = init if init is not None else solvers._random_encoders(
+        r, data.x.shape[1], data.xt.shape[1], seed)
+    cur = losses.loss_value(spec, enc, data)
+    trace, flags, steps, halvings, out_of_domain = [cur], [], 0, 0, 0
+    for _ in range(max_iter):
+        grad1, grad2 = losses.loss_gradient(spec, enc, data)
+        assert np.all(np.isfinite(grad1)) and np.all(np.isfinite(grad2))
+        if np.sqrt(np.sum(grad1**2) + np.sum(grad2**2)) < tol:
+            flags.append("converged")
+            break
+        accepted = False
+        while True:
+            cand = EncoderPair(g1=enc.g1 - lr * grad1, g2=enc.g2 - lr * grad2)
+            cand_loss = losses.loss_value(spec, cand, data)
+            out_of_domain += not np.isfinite(cand_loss)
+            if np.isfinite(cand_loss) and cand_loss <= cur:
+                enc, cur, accepted = cand, cand_loss, True
+                break
+            if halvings >= 20:
+                break
+            lr *= 0.5
+            halvings += 1
+        if not accepted:
+            flags.append("step-budget-exhausted")
+            break
+        steps += 1
+        trace.append(cur)
+    fit = solvers.FitResult(enc=enc, product=enc.product, iterations=steps, final_loss=cur,
+                            trace=trace, flags=tuple(flags))
+    return fit, halvings, out_of_domain
+
+
+def unit_rows_dataset():
+    """Unit-norm rows seen twice: with g2 = -g1 orthogonal every psi-identity
+    log aggregate is positive, and large steps leave the log domain."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return make_dataset(x, x), EncoderPair(g1=q, g2=-q)
+
+
+def oracle_case(name):
+    """(spec, data, r, keyword arguments of fit_gradient_descent) of a named case."""
+    small = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0, seed=3)
+    if name == "infonce":  # the infonce-gd workload, shrunk
+        data = datagen.sample_paired(datagen.random_model(10, 10, 4, snr=1 / 0.3, seed=0),
+                                     80, 0.2, seed=5)
+        return LossSpec.infonce(tau=0.5, smoothed=True), data, 4, dict(lr=0.05, max_iter=8,
+                                                                        tol=0.0, seed=5)
+    if name == "clip":
+        return LossSpec.clip(tau=0.5), small, 2, dict(lr=0.5, max_iter=30, tol=0.0)
+    if name == "linear":
+        return LossSpec.linear(), small, 2, dict(lr=0.3, max_iter=30, tol=0.0)
+    if name == "psi-identity-log":
+        data, init = unit_rows_dataset()
+        spec = LossSpec(phi="log", psi="identity", epsilon=1.0, tau=1.0, cn="n")
+        return spec, data, 3, dict(lr=5.0, max_iter=10, tol=0.0, init=init)
+    if name == "exhausted":
+        data, init = unit_rows_dataset()
+        spec = LossSpec(phi="log", psi="identity", epsilon=1.0, tau=1.0, cn="n")
+        return spec, data, 3, dict(lr=10.0, max_iter=50, tol=0.0, init=init)
+    if name == "converged":
+        return LossSpec.linear(), small, 2, dict(lr=0.3, max_iter=500, tol=1e-3)
+    assert name == "no-iterations"
+    return LossSpec.infonce(tau=0.5, smoothed=True), small, 2, dict(lr=0.1, max_iter=0, tol=0.0)
+
+
+class TestOnePassDescent:
+    """Each candidate's value and gradient come from one weight-table pass."""
+
+    @pytest.mark.parametrize("name", ["infonce", "clip", "linear", "psi-identity-log",
+                                      "exhausted", "converged", "no-iterations"])
+    def test_bit_identical_to_two_pass_loop(self, name):
+        spec, data, r, kwargs = oracle_case(name)
+        fit = solvers.fit_gradient_descent(spec, data, r, **kwargs)
+        want, halvings, out_of_domain = two_pass_descent(spec, data, r, **kwargs)
+        assert fit.trace == want.trace
+        assert fit.iterations == want.iterations
+        assert fit.flags == want.flags
+        assert fit.final_loss == want.final_loss
+        assert np.array_equal(fit.enc.g1, want.enc.g1)
+        assert np.array_equal(fit.enc.g2, want.enc.g2)
+        expected_flags = {"exhausted": ("step-budget-exhausted",), "converged": ("converged",)}
+        assert fit.flags == expected_flags.get(name, ())
+        if name in ("psi-identity-log", "exhausted"):
+            assert halvings > 0 and out_of_domain > 0 and fit.iterations > 0
+        if name == "no-iterations":
+            assert fit.iterations == 0 and fit.trace == [fit.final_loss]
+
+    def test_one_similarity_matrix_per_candidate(self, monkeypatch):
+        spec, data, r, kwargs = oracle_case("psi-identity-log")
+        _, halvings, _ = two_pass_descent(spec, data, r, **kwargs)
+        calls = []
+        original = losses.similarity_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(losses, "similarity_matrix", counted)
+        fit = solvers.fit_gradient_descent(spec, data, r, **kwargs)
+        assert fit.flags == () and halvings > 0
+        # one value and one gradient at the start, then one pass per
+        # candidate: k accepted steps and h rejected ones (the two-pass loop
+        # takes 2k + h + 1)
+        assert len(calls) == fit.iterations + halvings + 2
+
+    def test_out_of_domain_init(self):
+        data, init = unit_rows_dataset()
+        spec = LossSpec(phi="log", psi="identity", epsilon=1.0, tau=1.0, cn="n")
+        bad = EncoderPair(g1=init.g1, g2=-init.g2)
+        fit = solvers.fit_gradient_descent(spec, data, 3, lr=0.1, max_iter=0, init=bad)
+        assert np.isnan(fit.final_loss) and fit.iterations == 0
+        with pytest.raises(NonFinite, match="nonpositive aggregate"):
+            solvers.fit_gradient_descent(spec, data, 3, lr=0.1, max_iter=1, init=bad)
 
 
 class TestApproxInfonce:
