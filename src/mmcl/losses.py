@@ -7,9 +7,12 @@ encoder product. Identity transforms give the linear loss; log/exp with
 epsilon=1 gives the CLIP loss; log/exp with epsilon=0 gives InfoNCE.
 
 Weight tables (alpha, alpha-bar, beta) express any loss in this family as
-a weighted contrast between observed pairs and cross pairs; the gradient
-assembles the same alpha tables into a per-entry weight matrix instead,
-which gives an independent route to the same derivative.
+a weighted contrast between observed pairs and cross pairs; compute_weights
+builds them densely. The loss value and gradient take a different route to
+the same derivative: softmax losses (psi exp, phi log or log1p) share one
+exponential of sims / tau between the row and the column tables, and the
+other losses, or a similarity spread too wide for one shift, assemble the
+alpha tables into a per-entry weight matrix.
 """
 
 import numbers
@@ -24,6 +27,7 @@ PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
 CN_RULES = ("n(n-1)", "n")
 _BLOCK_ROWS = 64  # rows per block of the streamed unpaired softmax table
+_SHARED_RANGE = 600.0  # exp(-600) ~ 1e-261: a row or column sum stays a normal number
 
 
 @dataclass(frozen=True)
@@ -360,35 +364,98 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     """Gradients of loss_value with respect to g1 and g2.
 
-    Assembled from the alpha tables as a per-entry weight matrix on the
-    similarity derivatives (an independent route from the beta tables of
-    compute_weights; the two agree analytically).
+    Softmax losses take both alpha tables from one shared exponential of
+    sims / tau; other losses assemble them into a per-entry weight matrix on
+    the similarity derivatives. Either way this is a route independent of
+    the dense beta tables of compute_weights; the two agree analytically.
     """
     return _value_and_gradient(spec, enc, *_data_arrays(data))[1]
+
+
+def _shared_softmax(spec: LossSpec, sims: np.ndarray, xt: np.ndarray, cn: float,
+                    want_gradient: bool):
+    """Row and column totals and W @ xt of a log / log1p softmax loss from one
+    exponential E = exp(sims / tau - c), c the maximum of sims / tau; sims
+    becomes E.
+
+    The row-anchored table is E_ij exp(c - nu s_ii / tau) and the column-anchored
+    one E_ij exp(c - nu s_jj / tau), so both log-sum-exps come from the row and
+    column sums of E, and the weight matrix W times xt from one product of E with
+    xt and a row-scaled xt side by side. Returns None, with sims untouched, unless c is finite and every
+    row's and column's off-diagonal maximum of sims / tau lies within
+    _SHARED_RANGE of c, which keeps every row and column sum a normal number.
+    """
+    diag = np.diag(sims).copy()
+    np.fill_diagonal(sims, -np.inf)
+    row_max, col_max = np.max(sims, axis=1), np.max(sims, axis=0)
+    np.fill_diagonal(sims, diag)
+    diag /= spec.tau
+    c = max(np.max(row_max) / spec.tau, np.max(diag))  # max(s) / tau == max(s / tau)
+    offset = c - spec.nu * diag  # log of the rank-one factor of row and column i
+    lowest = min(np.min(row_max), np.min(col_max)) / spec.tau
+    if not (np.isfinite(c) and lowest >= c - _SHARED_RANGE and np.all(np.isfinite(offset))):
+        return None
+    sims /= spec.tau
+    sims -= c
+    e = np.exp(sims, out=sims)
+    np.einsum("ii->i", e)[...] *= spec.epsilon
+    row_sum, col_sum = np.sum(e, axis=1), np.sum(e, axis=0)
+    row_lse, col_lse = np.log(row_sum) + offset, np.log(col_sum) + offset
+    if spec.phi == "log1p":
+        row_agg, col_agg = np.logaddexp(0.0, row_lse), np.logaddexp(0.0, col_lse)
+    else:
+        row_agg, col_agg = row_lse, col_lse
+    totals = spec.tau * row_agg, spec.tau * col_agg
+    if not want_gradient:
+        return *totals, None
+    # alpha = a[:, None] * E and the transposed alpha-bar = E * b[None, :]
+    a = np.exp(row_lse - row_agg) / row_sum
+    b = np.exp(col_lse - col_agg) / col_sum
+    d = xt.shape[1]
+    y = e @ np.hstack([xt, b[:, None] * xt])
+    wxt = a[:, None] * y[:, :d] + y[:, d:]
+    wxt -= (spec.nu * (a * row_sum + b * col_sum))[:, None] * xt
+    wxt /= 2.0 * cn
+    return *totals, wxt
+
+
+def _anchored_route(spec: LossSpec, sims: np.ndarray, xt: np.ndarray, cn: float,
+                    want_gradient: bool):
+    """Row and column totals and W @ xt of any loss from its two anchored
+    alpha tables, assembled into the per-entry weight matrix W."""
+    (row_totals, w), (col_totals, alpha_bar_t) = _anchored(spec, sims, want_gradient)
+    if not want_gradient:
+        return row_totals, col_totals, None
+    tot = np.sum(w, axis=1) + np.sum(alpha_bar_t, axis=0)
+    diag_w = (np.diag(w) + np.diag(alpha_bar_t) - spec.nu * tot) / (2.0 * cn)
+    w += alpha_bar_t
+    w /= 2.0 * cn
+    np.fill_diagonal(w, diag_w)
+    return row_totals, col_totals, w @ xt
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
 def _value_and_gradient(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
                         want_gradient: bool = True):
     """(loss_value, loss_gradient or None) from one similarity matrix and one
-    pass over its weight tables; x and xt are validated 2-D arrays. With
-    want_gradient a log aggregate outside its domain raises NonFinite."""
+    pass over it; x and xt are validated 2-D arrays. With want_gradient a log
+    aggregate outside its domain raises NonFinite."""
     sims = similarity_matrix(enc, x, xt)
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput("paired loss needs equally many samples per modality")
     cn = c_n_value(spec.cn, sims.shape[0])
-    (row_totals, w), (col_totals, alpha_bar_t) = _anchored(spec, sims, want_gradient)
+    totals = None
+    if spec.psi == "exp" and spec.phi != "identity":
+        totals = _shared_softmax(spec, sims, xt, cn, want_gradient)
+    if totals is None:
+        totals = _anchored_route(spec, sims, xt, cn, want_gradient)
+    row_totals, col_totals, wxt = totals
     contrast = np.sum(row_totals) + np.sum(col_totals)
     ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
     value = float(contrast / (2.0 * cn) + ridge)
     if not want_gradient:
         return value, None
-    tot = np.sum(w, axis=1) + np.sum(alpha_bar_t, axis=0)
-    diag_w = (np.diag(w) + np.diag(alpha_bar_t) - spec.nu * tot) / (2.0 * cn)
-    w += alpha_bar_t
-    w /= 2.0 * cn
-    np.fill_diagonal(w, diag_w)
-    p = x.T @ (w @ xt)
+    p = x.T @ wxt
     grad_g1 = enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1
     grad_g2 = enc.g1 @ p + spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2
     return value, (grad_g1, grad_g2)

@@ -45,3 +45,16 @@ def subspace_distance(basis_a, basis_b):
     sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
     cos2 = np.clip(sv, 0.0, 1.0) ** 2
     return float(np.sqrt(max(0.0, qa.shape[1] - cos2.sum())))
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name with a pass-through counter; return its list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

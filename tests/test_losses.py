@@ -10,6 +10,8 @@ from mmcl import losses
 from mmcl.errors import InvalidInput, NonFinite
 from mmcl.losses import ContrastiveWeights, EncoderPair, LossSpec
 
+from conftest import count_calls
+
 
 def random_instance(seed, n=5, d1=4, d2=3, r=2):
     rng = np.random.default_rng(seed)
@@ -640,6 +642,98 @@ class TestLossGradient:
         with np.errstate(over="ignore", invalid="ignore"):
             grads = losses.loss_gradient(spec, EncoderPair(g1=np.eye(3), g2=-np.eye(3)), big)
         assert not all(np.all(np.isfinite(g)) for g in grads)
+
+
+def dense_oracle(spec, enc, x, xt):
+    """Loss value from _anchored's two tables, and the gradient through the beta
+    tables of compute_weights and the weighted contrast matrix."""
+    sims = losses.similarity_matrix(enc, x, xt)
+    (row, _), (col, _) = losses._anchored(spec, sims.copy())
+    cn = losses.c_n_value(spec.cn, x.shape[0])
+    value = (row.sum() + col.sum()) / (2.0 * cn) + 0.5 * spec.rho * np.sum(enc.product ** 2)
+    s = losses.contrastive_cross_covariance(losses.compute_weights(spec, sims), x, xt, spec.cn)
+    contrast = (enc.g2 @ s.T, enc.g1 @ s)
+    ridge = (spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1, spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2)
+    return value, contrast, ridge
+
+
+def anchored_pass(spec, enc, x, xt):
+    """Value and gradient of one pass taken by the anchored route on a fresh sims."""
+    sims = losses.similarity_matrix(enc, x, xt)
+    cn = losses.c_n_value(spec.cn, x.shape[0])
+    row, col, wxt = losses._anchored_route(spec, sims, xt, cn, True)
+    ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
+    value = float((np.sum(row) + np.sum(col)) / (2.0 * cn) + ridge)
+    p = x.T @ wxt
+    return value, (enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1,
+                   enc.g1 @ p + spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2)
+
+
+class TestSharedExponential:
+    """Softmax losses take both tables from one exp(sims / tau - c)."""
+
+    @pytest.mark.parametrize("phi", ["log", "log1p"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    @pytest.mark.parametrize("cn", ["n", "n(n-1)"])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])
+    def test_matches_dense_oracle(self, monkeypatch, phi, epsilon, nu, cn, tau):
+        x, xt, enc = random_instance(7, n=12, d1=5, d2=4, r=3)
+        enc = EncoderPair(g1=0.3 * enc.g1, g2=0.3 * enc.g2)
+        spec = LossSpec(phi=phi, psi="exp", epsilon=epsilon, nu=nu, tau=tau, cn=cn, rho=0.6)
+        value, contrast, ridge = dense_oracle(spec, enc, x, xt)
+        calls = count_calls(monkeypatch, losses, "_anchored")
+        got = losses.loss_value(spec, enc, (x, xt))
+        grads = losses.loss_gradient(spec, enc, (x, xt))
+        assert calls == []  # neither pass took the anchored route
+        assert abs(got - value) <= 1e-12 * abs(value)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("far", ["scaled-sample", "row", "column"])
+    def test_far_row_or_column_takes_the_anchored_route_exactly(self, monkeypatch, far):
+        # Each case puts the off-diagonal maximum of a row or a column of
+        # sims / tau far below the shared exponential's shift c.
+        x, xt, enc = random_instance(31, n=10, d1=3, d2=3)
+        spec = LossSpec.clip(tau=0.01)
+        if far == "scaled-sample":
+            x[0] *= 1e3
+        else:
+            # sims = x @ xt.T; a first coordinate of -1e3 against positive
+            # ones makes row 0 (or column 0) very negative, every other row
+            # and column keeps its ordinary maximum.
+            enc = EncoderPair(g1=np.eye(3), g2=np.eye(3))
+            spec = LossSpec.clip(tau=0.1, nu=2.0)
+            x[:, 0] = np.abs(x[:, 0]) + 1.0
+            xt[:, 0] = np.abs(xt[:, 0]) + 1.0
+            (x if far == "row" else xt)[0] = [-1e3, 0.0, 0.0]
+        want_value, want_grads = anchored_pass(spec, enc, x, xt)
+        calls = count_calls(monkeypatch, losses, "_anchored")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = losses.loss_value(spec, enc, (x, xt))
+            grads = losses.loss_gradient(spec, enc, (x, xt))
+        assert len(calls) == 2
+        assert value == want_value and np.isfinite(value)
+        for grad, want in zip(grads, want_grads):
+            assert np.array_equal(grad, want) and np.all(np.isfinite(grad))
+
+    def test_peak_memory_holds_one_table(self, monkeypatch):
+        # E overwrites the similarity matrix; beside it only n x 2d arrays.
+        import tracemalloc
+        n = 1200
+        x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
+        enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
+        calls = count_calls(monkeypatch, losses, "_anchored")
+        tracemalloc.start()
+        try:
+            losses.loss_gradient(LossSpec.infonce(tau=0.5, smoothed=True), enc, (x, xt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak <= 1.25 * n * n * 8
 
 
 @settings(max_examples=15, deadline=None)

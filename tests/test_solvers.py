@@ -1,5 +1,7 @@
 """Solvers: closed forms, gradient descent, frozen-weight routes, baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from mmcl import datagen, linalg, losses, solvers
 from mmcl.datagen import PairedDataset
 from mmcl.errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
 from mmcl.losses import EncoderPair, LossSpec
+
+from conftest import count_calls
 
 
 def right_error(product, model, r=None):
@@ -290,6 +294,38 @@ class TestOnePassDescent:
         # candidate: k accepted steps and h rejected ones (the two-pass loop
         # takes 2k + h + 1)
         assert len(calls) == fit.iterations + halvings + 2
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-6])
+    def test_one_similarity_matrix_per_softmax_candidate(self, monkeypatch, tau):
+        # At tau 1e-6 the rows of sims / tau spread far beyond the shared
+        # exponential's range in the first 8 steps, so every pass takes the
+        # anchored route.
+        data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
+                                     seed=3)
+        spec = LossSpec.clip(tau=tau)
+        kwargs = dict(lr=0.5, max_iter=8, tol=0.0)
+        _, halvings, _ = two_pass_descent(spec, data, 2, **kwargs)
+        sims_calls = count_calls(monkeypatch, losses, "similarity_matrix")
+        anchored_calls = count_calls(monkeypatch, losses, "_anchored")
+        fit = solvers.fit_gradient_descent(spec, data, 2, **kwargs)
+        assert fit.iterations > 0
+        assert len(sims_calls) == fit.iterations + halvings + 2
+        assert len(anchored_calls) == (len(sims_calls) if tau < 1e-3 else 0)
+
+    def test_fallback_descent_equals_anchored_route(self, monkeypatch):
+        data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
+                                     seed=3)
+        spec = LossSpec.clip(tau=1e-6)
+        kwargs = dict(lr=0.5, max_iter=8, tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = solvers.fit_gradient_descent(spec, data, 2, **kwargs)
+        monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)  # no pass may share
+        want = solvers.fit_gradient_descent(spec, data, 2, **kwargs)
+        assert fit.iterations > 0 and np.isfinite(fit.final_loss)
+        assert fit.trace == want.trace
+        assert np.array_equal(fit.enc.g1, want.enc.g1)
+        assert np.array_equal(fit.enc.g2, want.enc.g2)
 
     def test_out_of_domain_init(self):
         data, init = unit_rows_dataset()
