@@ -12,7 +12,9 @@ builds them densely. The loss value and gradient take a different route to
 the same derivative: softmax losses (psi exp, phi log or log1p) share one
 exponential of sims / tau between the row and the column tables, and the
 other losses, or a similarity spread too wide for one shift, assemble the
-alpha tables into a per-entry weight matrix.
+alpha tables into a per-entry weight matrix. The unpaired contrast likewise
+takes one exponential per pool entry, in row blocks with no n x n temporary,
+and falls back to an exactly shifted stream of the table's row blocks.
 """
 
 import numbers
@@ -252,14 +254,14 @@ class ContrastiveWeights:
 @dataclass(frozen=True)
 class UnpairedWeights:
     """An unpaired pool's symmetrized softmax table, never stored, plus the pair
-    set whose empirical cross-covariance enters with weight nu. row_blocks
-    rebuilds the table from sims (held, not copied), the column maxima of
-    sims / tau and 0.5 / the column sums; beta_off builds it on each access."""
+    set whose empirical cross-covariance enters with weight nu. Holds sims (not
+    copied) and the row and column maxima of sims / tau; row_blocks sums the
+    columns and then rebuilds the table, beta_off builds it, on each call."""
 
     sims: np.ndarray
     tau: float
+    row_max: np.ndarray
     col_max: np.ndarray
-    half_col: np.ndarray
     edges: np.ndarray
     nu: float
     beta_diag: np.ndarray  # zeros: no pool entry is an observed pair
@@ -274,6 +276,12 @@ class UnpairedWeights:
 
     def row_blocks(self):
         """(rows, table[rows]) for consecutive blocks of _BLOCK_ROWS rows."""
+        col_sum = np.zeros(self.sims.shape[1])
+        for lo in range(0, self.sims.shape[0], _BLOCK_ROWS):
+            block = self.sims[lo:lo + _BLOCK_ROWS] / self.tau
+            block -= self.col_max
+            col_sum += np.sum(np.exp(block, out=block), axis=0)
+        half_col = 0.5 / col_sum
         for lo in range(0, self.sims.shape[0], _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
             row_part = self.sims[rows] / self.tau
@@ -282,7 +290,7 @@ class UnpairedWeights:
             block = self.sims[rows] / self.tau
             block -= self.col_max
             np.exp(block, out=block)
-            block *= self.half_col
+            block *= half_col
             block += row_part
             yield rows, block
 
@@ -308,9 +316,9 @@ def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
 def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
     """Full-support softmax table of sims / tau, the average of its row and its
     column softmax over all entries (nothing marks an entry as an observed
-    pair), plus a pair set. One pass over row blocks keeps the column maxima and
-    sums; a non-finite entry raises InvalidInput, an overflowing sims / tau
-    NonFinite."""
+    pair), plus a pair set. One pass over row blocks keeps the row and column
+    maxima of sims / tau and takes no exponential; a non-finite entry raises
+    InvalidInput, an overflowing sims / tau NonFinite."""
     sims = as_2d(sims, "sims")
     if not 0 < tau < np.inf:
         raise InvalidInput(f"tau must be positive and finite, got {tau}")
@@ -321,17 +329,18 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
         raise InvalidInput("unpaired weights need a nonempty pair set")
     if np.any(edges < 0) or np.any(edges >= sims.shape):
         raise InvalidInput("pair indices out of range")
-    with np.errstate(over="ignore"):
-        col_max = np.max(sims, axis=0) / tau
-        col_sum = np.zeros(sims.shape[1])
-        for lo in range(0, sims.shape[0], _BLOCK_ROWS):
-            block = sims[lo:lo + _BLOCK_ROWS] / tau
-            if not np.all(np.isfinite(block)):
-                require_finite(sims[lo:lo + _BLOCK_ROWS], "sims")
-                raise NonFinite(f"sims / tau overflows at tau {tau}")
-            block -= col_max
-            col_sum += np.sum(np.exp(block, out=block), axis=0)
-    return UnpairedWeights(sims=sims, tau=tau, col_max=col_max, half_col=0.5 / col_sum,
+    row_max, col_max = np.empty(sims.shape[0]), np.full(sims.shape[1], -np.inf)
+    for lo in range(0, sims.shape[0], _BLOCK_ROWS):
+        block = sims[lo:lo + _BLOCK_ROWS]
+        with np.errstate(over="ignore"):  # max(s) / tau == max(s / tau), and so for min
+            top, low = np.max(block, axis=1) / tau, np.min(block, axis=1) / tau
+        if not np.all(np.isfinite((top, low))):
+            require_finite(block, "sims")
+            raise NonFinite(f"sims / tau overflows at tau {tau}")
+        row_max[lo:lo + _BLOCK_ROWS] = top
+        np.maximum(col_max, np.max(block, axis=0), out=col_max)
+    col_max /= tau
+    return UnpairedWeights(sims=sims, tau=tau, row_max=row_max, col_max=col_max,
                            edges=edges, nu=float(nu), beta_diag=np.zeros(sims.shape[0]))
 
 
@@ -356,9 +365,28 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
     if not unpaired:
         mixed = weights.beta_diag[:, None] * xt - weights.beta_off @ xt
         return (x.T @ mixed) / cn
-    y = np.vstack([block @ xt for _, block in weights.row_blocks()])
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
-    return (weights.nu * pair_term - x.T @ y) / cn
+    return (weights.nu * pair_term - _pool_softmax_term(weights, x, xt)) / cn
+
+
+def _pool_softmax_term(w: UnpairedWeights, x: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """x.T @ table @ xt of an unpaired pool. If c = max(sims / tau) is finite and
+    every row and column maximum of sims / tau is within _SHARED_RANGE of it, one
+    pass over row blocks of E = exp(sims / tau - c) sums E @ [xt | 1] (E xt, row
+    sums R) and [x | 1].T @ E (x.T E, column sums C) into 0.5 (x.T (E xt / R) +
+    (x.T E)(xt / C)). Otherwise row_blocks, shifted exactly per row and per column."""
+    c = np.max(w.row_max)
+    if not (np.isfinite(c) and min(np.min(w.row_max), np.min(w.col_max)) >= c - _SHARED_RANGE):
+        return x.T @ np.vstack([block @ xt for _, block in w.row_blocks()])
+    x1, xt1 = (np.pad(a, ((0, 0), (0, 1)), constant_values=1.0) for a in (x, xt))
+    right, left = np.empty((x.shape[0], xt1.shape[1])), np.zeros((x1.shape[1], xt.shape[0]))
+    for lo in range(0, w.sims.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        e = w.sims[rows] / w.tau
+        np.exp(np.subtract(e, c, out=e), out=e)
+        right[rows] = e @ xt1
+        left += x1[rows].T @ e
+    return 0.5 * (x.T @ (right[:, :-1] / right[:, -1:]) + left[:-1] @ (xt / left[-1][:, None]))
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):

@@ -26,7 +26,7 @@ from .losses import (
     unpaired_weights,
 )
 
-_ARGMAX_BLOCK_ROWS = 32  # rows per block of the column argmax in estimate_edges
+_ARGMAX_BLOCK_ROWS = 32  # rows per block of the row and column argmax in estimate_edges
 
 
 @dataclass
@@ -232,19 +232,21 @@ def estimate_edges(sims) -> EdgeEstimate:
     n = sims.shape[0]
     if n < 1:
         raise InvalidInput("similarity matrix is empty")
-    # np.argmax(sims, axis=0), as a running maximum over row blocks that
-    # moves only on a strictly larger value, so ties keep the first row.
+    # np.argmax(sims, axis=1) per block, and np.argmax(sims, axis=0) as a running
+    # maximum that moves only on a strictly larger value, so ties keep the first row.
     col_max = np.full(n, -np.inf)
     col_best = np.zeros(n, dtype=np.int64)
+    row_best = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _ARGMAX_BLOCK_ROWS):
         block = linalg.require_finite(sims[lo:lo + _ARGMAX_BLOCK_ROWS], "sims")
+        row_best[lo:lo + _ARGMAX_BLOCK_ROWS] = np.argmax(block, axis=1)
         block_max = np.max(block, axis=0)
         cols = np.flatnonzero(block_max > col_max)
         col_max[cols] = block_max[cols]
         col_best[cols] = lo + np.argmax(block[:, cols] == block_max[cols], axis=0)
     # Pool pairs as codes i * n + j; ascending codes are lexicographic pairs.
     items = np.arange(n, dtype=np.int64)
-    codes = linalg.sorted_unique(np.concatenate([items * n + np.argmax(sims, axis=1),
+    codes = linalg.sorted_unique(np.concatenate([items * n + row_best,
                                                  col_best * n + items]))
     rows, cols = np.divmod(codes, n)
     scores = sims[rows, cols]

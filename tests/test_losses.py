@@ -574,6 +574,85 @@ class TestContrastiveCrossCovariance:
             losses.contrastive_cross_covariance(bad, x, xt, "n")
 
 
+def pool_instance(seed, n=700, m=530, d1=12, d2=9, scale=3.0):
+    """x, xt, a pool sims with n > 2 blocks and a ragged last one, and edges."""
+    rng = np.random.default_rng(seed)
+    x, xt = rng.standard_normal((n, d1)), rng.standard_normal((m, d2))
+    sims = scale * rng.standard_normal((n, m))
+    edges = np.stack([rng.integers(0, n, 40), rng.integers(0, m, 40)], axis=1)
+    return x, xt, sims, edges
+
+
+def row_blocks_contrast(w, x, xt, cn):
+    """The unpaired contrast from the exactly shifted row_blocks stream."""
+    y = np.vstack([block @ xt for _, block in w.row_blocks()])
+    pair_term = x[w.edges[:, 0]].T @ xt[w.edges[:, 1]]
+    return (w.nu * pair_term - x.T @ y) / cn
+
+
+class TestSharedPoolExponential:
+    """The unpaired contrast takes one exp(sims / tau - c) per pool entry."""
+
+    def test_out_of_range_equals_row_blocks_route_bit_for_bit(self, monkeypatch):
+        x, xt, sims, edges = pool_instance(50)
+        w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
+        monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
+        out = losses.contrastive_cross_covariance(w, x, xt, "n")
+        assert np.array_equal(out, row_blocks_contrast(w, x, xt, 700.0))
+
+    @pytest.mark.parametrize("n,m", [(700, 530), (530, 700), (65, 3)])
+    def test_shared_route_matches_dense_oracle(self, monkeypatch, n, m):
+        assert n % losses._BLOCK_ROWS
+        x, xt, sims, edges = pool_instance(n + m, n=n, m=m)
+        w = losses.unpaired_weights(sims, tau=0.4, nu=1.5, edges=edges)
+        calls = count_calls(monkeypatch, losses.UnpairedWeights, "row_blocks")
+        out = losses.contrastive_cross_covariance(w, x, xt, "n(n-1)")
+        pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
+        dense = (1.5 * pair_term - x.T @ (two_softmax_table(sims, 0.4) @ xt)) / (n * (n - 1.0))
+        assert calls == []
+        assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_far_row_takes_the_exact_route(self, monkeypatch):
+        # Row 0 scaled by 1e3 sets c near 1.5e4; every other row's maximum of
+        # sims / tau lies far more than _SHARED_RANGE below it.
+        x, xt, sims, edges = pool_instance(51, n=150, m=120, scale=2.0)
+        sims[0] *= 1e3
+        calls = count_calls(monkeypatch, losses.UnpairedWeights, "row_blocks")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
+            out = losses.contrastive_cross_covariance(w, x, xt, "n")
+        assert len(calls) == 1
+        assert np.array_equal(out, row_blocks_contrast(w, x, xt, 150.0))
+        pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
+        dense = (2.0 * pair_term - x.T @ (two_softmax_table(sims, 0.5) @ xt)) / 150.0
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_shared_route_never_streams_the_table(self, monkeypatch):
+        x, xt, sims, edges = pool_instance(52)
+        w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
+        monkeypatch.setattr(losses.UnpairedWeights, "row_blocks",
+                            lambda self: pytest.fail("row_blocks streamed"))
+        monkeypatch.setattr(losses.UnpairedWeights, "beta_off",
+                            property(lambda self: pytest.fail("dense table built")))
+        assert losses.contrastive_cross_covariance(w, x, xt, "n").shape == (12, 9)
+
+    def test_peak_memory_holds_no_pool_sized_table(self):
+        # Weights plus contrast allocate a few row blocks and O(n d) arrays,
+        # never an n x m temporary beside sims.
+        import tracemalloc
+        x, xt, sims, edges = pool_instance(53, n=2048, m=1500, d1=8, d2=8)
+        tracemalloc.start()
+        try:
+            w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
+            losses.contrastive_cross_covariance(w, x, xt, "n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sims.nbytes / 4
+
+
 class TestLossGradient:
     def test_contrast_identity(self):
         # The gradient decomposes through the weighted contrast matrix:
