@@ -13,8 +13,9 @@ the same derivative: softmax losses (psi exp, phi log or log1p) share one
 exponential of sims / tau between the row and the column tables, and the
 other losses, or a similarity spread too wide for one shift, assemble the
 alpha tables into a per-entry weight matrix. The unpaired contrast likewise
-takes one exponential per pool entry, in row blocks with no n x n temporary,
-and falls back to an exactly shifted stream of the table's row blocks.
+takes one exponential per pool entry, in row blocks with no n x n temporary;
+a pool too spread for one shift takes two in the same pass, one shifted per
+row and one per column.
 """
 
 import numbers
@@ -246,7 +247,6 @@ class ContrastiveWeights:
 
     beta_diag: np.ndarray
     beta_off: np.ndarray
-    mode: str
     alpha: np.ndarray | None = None
     alpha_bar: np.ndarray | None = None
 
@@ -255,8 +255,8 @@ class ContrastiveWeights:
 class UnpairedWeights:
     """An unpaired pool's symmetrized softmax table, never stored, plus the pair
     set whose empirical cross-covariance enters with weight nu. Holds sims (not
-    copied) and the row and column maxima of sims / tau; row_blocks sums the
-    columns and then rebuilds the table, beta_off builds it, on each call."""
+    copied) and the row and column maxima of sims / tau; the contrast streams
+    the table, and beta_off builds it densely on each call."""
 
     sims: np.ndarray
     tau: float
@@ -264,35 +264,18 @@ class UnpairedWeights:
     col_max: np.ndarray
     edges: np.ndarray
     nu: float
-    beta_diag: np.ndarray  # zeros: no pool entry is an observed pair
-    mode = "unpaired"
 
     @property
     def beta_off(self) -> np.ndarray:
-        beta = np.empty(self.sims.shape)
-        for rows, block in self.row_blocks():
-            beta[rows] = block
+        rows = self.sims / self.tau
+        beta = np.subtract(rows, self.col_max)
+        np.exp(beta, out=beta)
+        beta /= 2.0 * np.sum(beta, axis=0)
+        rows -= self.row_max[:, None]
+        np.exp(rows, out=rows)
+        rows /= 2.0 * np.sum(rows, axis=1, keepdims=True)
+        beta += rows
         return beta
-
-    def row_blocks(self):
-        """(rows, table[rows]) for consecutive blocks of _BLOCK_ROWS rows."""
-        col_sum = np.zeros(self.sims.shape[1])
-        for lo in range(0, self.sims.shape[0], _BLOCK_ROWS):
-            block = self.sims[lo:lo + _BLOCK_ROWS] / self.tau
-            block -= self.col_max
-            col_sum += np.sum(np.exp(block, out=block), axis=0)
-        half_col = 0.5 / col_sum
-        for lo in range(0, self.sims.shape[0], _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            row_part = self.sims[rows] / self.tau
-            _log_sum_exp(row_part, 1, normalize=True)
-            row_part *= 0.5
-            block = self.sims[rows] / self.tau
-            block -= self.col_max
-            np.exp(block, out=block)
-            block *= half_col
-            block += row_part
-            yield rows, block
 
 
 def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
@@ -308,8 +291,7 @@ def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
     beta_off = (alpha + alpha_bar_t) / 2.0
     np.fill_diagonal(beta_off, 0.0)
     return ContrastiveWeights(
-        beta_diag=beta_diag, beta_off=beta_off, mode="paired",
-        alpha=alpha, alpha_bar=alpha_bar_t.T,
+        beta_diag=beta_diag, beta_off=beta_off, alpha=alpha, alpha_bar=alpha_bar_t.T,
     )
 
 
@@ -341,7 +323,7 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
         np.maximum(col_max, np.max(block, axis=0), out=col_max)
     col_max /= tau
     return UnpairedWeights(sims=sims, tau=tau, row_max=row_max, col_max=col_max,
-                           edges=edges, nu=float(nu), beta_diag=np.zeros(sims.shape[0]))
+                           edges=edges, nu=float(nu))
 
 
 def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, x, xt,
@@ -358,8 +340,6 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
     n = x.shape[0]
     cn = c_n_value(c_n, n)
     unpaired = isinstance(weights, UnpairedWeights)
-    if not unpaired and weights.mode != "paired":
-        raise InvalidInput(f"unknown weights mode {weights.mode!r}")
     if (weights.sims if unpaired else weights.beta_off).shape != (n, xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
     if not unpaired:
@@ -370,22 +350,24 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
 
 
 def _pool_softmax_term(w: UnpairedWeights, x: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """x.T @ table @ xt of an unpaired pool. If c = max(sims / tau) is finite and
-    every row and column maximum of sims / tau is within _SHARED_RANGE of it, one
-    pass over row blocks of E = exp(sims / tau - c) sums E @ [xt | 1] (E xt, row
-    sums R) and [x | 1].T @ E (x.T E, column sums C) into 0.5 (x.T (E xt / R) +
-    (x.T E)(xt / C)). Otherwise row_blocks, shifted exactly per row and per column."""
+    """x.T @ table @ xt of an unpaired pool from one pass over row blocks of sims
+    / tau. It sums E @ [xt | 1] (E xt, row sums R) and [x | 1].T @ F (x.T F,
+    column sums C) into 0.5 (x.T (E xt / R) + (x.T F)(xt / C)). If c = max(sims /
+    tau) is finite and every row and column maximum of sims / tau is within
+    _SHARED_RANGE of it, E = F = exp(sims / tau - c), one exponential per entry.
+    Otherwise E is shifted by each row's maximum and F by each column's, so every
+    R and C is at least 1 at any range."""
     c = np.max(w.row_max)
-    if not (np.isfinite(c) and min(np.min(w.row_max), np.min(w.col_max)) >= c - _SHARED_RANGE):
-        return x.T @ np.vstack([block @ xt for _, block in w.row_blocks()])
+    shared = np.isfinite(c) and min(np.min(w.row_max), np.min(w.col_max)) >= c - _SHARED_RANGE
     x1, xt1 = (np.pad(a, ((0, 0), (0, 1)), constant_values=1.0) for a in (x, xt))
     right, left = np.empty((x.shape[0], xt1.shape[1])), np.zeros((x1.shape[1], xt.shape[0]))
     for lo in range(0, w.sims.shape[0], _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         e = w.sims[rows] / w.tau
-        np.exp(np.subtract(e, c, out=e), out=e)
+        f = e if shared else np.exp(e - w.col_max)  # taken before e is overwritten
+        np.exp(np.subtract(e, c if shared else w.row_max[rows, None], out=e), out=e)
         right[rows] = e @ xt1
-        left += x1[rows].T @ e
+        left += x1[rows].T @ f
     return 0.5 * (x.T @ (right[:, :-1] / right[:, -1:]) + left[:-1] @ (xt / left[-1][:, None]))
 
 

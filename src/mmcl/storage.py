@@ -154,7 +154,7 @@ def _write_edge_rows(path: str, edges: np.ndarray, truth_mask) -> None:
 
 def _csv_rows(path: str) -> list:
     """(line number, cells) for each nonblank line of a CSV file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
 
 
@@ -186,9 +186,15 @@ def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.nd
 
 
 def read_edge_csv(path: str) -> np.ndarray:
-    """Edge list from a CSV with an i,j[,is_truth] header; truth column ignored."""
+    """Edge list from a CSV with an optional i,j[,is_truth] header; truth column
+    ignored. The first row is a header when its first cell is not an integer."""
     rows = _csv_rows(path)
-    start = 1 if rows and not rows[0][1][0].lstrip("-").isdigit() else 0
+    start = 0
+    if rows:
+        try:
+            int(rows[0][1][0])  # the rule _int_columns applies to each data cell
+        except ValueError:
+            start = 1
     return _int_columns(path, rows[start:], 2)
 
 

@@ -312,7 +312,6 @@ class TestComputeWeights:
         x, xt, enc = random_instance(6, n=5)
         sims = losses.similarity_matrix(enc, x, xt)
         w = losses.compute_weights(LossSpec.linear(), sims)
-        assert w.mode == "paired"
         assert np.allclose(w.beta_diag, 4.0 * np.ones(5), atol=1e-12)
         expected_off = np.ones((5, 5)) - np.eye(5)
         assert np.allclose(w.beta_off, expected_off, atol=1e-12)
@@ -382,8 +381,6 @@ class TestUnpairedWeights:
         sims = rng.standard_normal((5, 5))
         edges = np.array([[0, 1], [2, 2]])
         w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
-        assert w.mode == "unpaired"
-        assert np.all(w.beta_diag == 0.0)
         assert np.allclose(w.beta_off, two_softmax_table(sims, 0.5), atol=1e-12)
         assert np.array_equal(w.edges, edges)
         assert w.nu == 2.0
@@ -465,8 +462,7 @@ class TestContrastiveCrossCovariance:
         x, xt, _ = random_instance(10, n=3)
         w = ContrastiveWeights(
             beta_diag=np.array([1.0, 0.0, 0.0]),
-            beta_off=np.zeros((3, 3)),
-            mode="paired")
+            beta_off=np.zeros((3, 3)))
         out = losses.contrastive_cross_covariance(w, x, xt, "n")
         assert np.allclose(out, np.outer(x[0], xt[0]) / 3.0, atol=1e-12)
 
@@ -564,14 +560,9 @@ class TestContrastiveCrossCovariance:
 
     def test_normalizer_validation(self):
         x, xt, _ = random_instance(14, n=3)
-        w = ContrastiveWeights(
-            beta_diag=np.ones(3), beta_off=np.zeros((3, 3)), mode="paired")
+        w = ContrastiveWeights(beta_diag=np.ones(3), beta_off=np.zeros((3, 3)))
         with pytest.raises(InvalidInput):
             losses.contrastive_cross_covariance(w, x, xt, "n^2")
-        bad = ContrastiveWeights(
-            beta_diag=np.ones(3), beta_off=np.zeros((3, 3)), mode="sideways")
-        with pytest.raises(InvalidInput):
-            losses.contrastive_cross_covariance(bad, x, xt, "n")
 
 
 def pool_instance(seed, n=700, m=530, d1=12, d2=9, scale=3.0):
@@ -583,60 +574,86 @@ def pool_instance(seed, n=700, m=530, d1=12, d2=9, scale=3.0):
     return x, xt, sims, edges
 
 
-def row_blocks_contrast(w, x, xt, cn):
-    """The unpaired contrast from the exactly shifted row_blocks stream."""
-    y = np.vstack([block @ xt for _, block in w.row_blocks()])
-    pair_term = x[w.edges[:, 0]].T @ xt[w.edges[:, 1]]
-    return (w.nu * pair_term - x.T @ y) / cn
+def dense_contrast(x, xt, sims, tau, nu, edges, cn):
+    """The unpaired contrast from the dense two_softmax_table oracle."""
+    pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
+    return (nu * pair_term - x.T @ (two_softmax_table(sims, tau) @ xt)) / cn
+
+
+def exp_entries(monkeypatch):
+    """Wrap np.exp; return the list of the sizes of the arrays it is given."""
+    sizes = []
+    original = np.exp
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return sizes
 
 
 class TestSharedPoolExponential:
-    """The unpaired contrast takes one exp(sims / tau - c) per pool entry."""
+    """The unpaired contrast takes one exp(sims / tau - c) per pool entry, or two
+    per entry, shifted per row and per column, when the pool is too spread."""
 
-    def test_out_of_range_equals_row_blocks_route_bit_for_bit(self, monkeypatch):
-        x, xt, sims, edges = pool_instance(50)
+    @pytest.mark.parametrize("n,m", [(700, 530), (65, 3)])
+    def test_fallback_route_matches_dense_oracle(self, monkeypatch, n, m):
+        x, xt, sims, edges = pool_instance(n + m + 1, n=n, m=m)
         w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
         monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
         out = losses.contrastive_cross_covariance(w, x, xt, "n")
-        assert np.array_equal(out, row_blocks_contrast(w, x, xt, 700.0))
+        dense = dense_contrast(x, xt, sims, 0.4, 2.0, edges, float(n))
+        assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
 
     @pytest.mark.parametrize("n,m", [(700, 530), (530, 700), (65, 3)])
-    def test_shared_route_matches_dense_oracle(self, monkeypatch, n, m):
+    def test_shared_route_matches_dense_oracle(self, n, m):
         assert n % losses._BLOCK_ROWS
         x, xt, sims, edges = pool_instance(n + m, n=n, m=m)
         w = losses.unpaired_weights(sims, tau=0.4, nu=1.5, edges=edges)
-        calls = count_calls(monkeypatch, losses.UnpairedWeights, "row_blocks")
         out = losses.contrastive_cross_covariance(w, x, xt, "n(n-1)")
-        pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
-        dense = (1.5 * pair_term - x.T @ (two_softmax_table(sims, 0.4) @ xt)) / (n * (n - 1.0))
-        assert calls == []
+        dense = dense_contrast(x, xt, sims, 0.4, 1.5, edges, n * (n - 1.0))
         assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("fallback", 2)])
+    def test_exponential_count(self, monkeypatch, route, per_entry):
+        # Neither route builds the dense table; only the contrast exponentiates.
+        x, xt, sims, edges = pool_instance(52)
+        if route == "fallback":
+            monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
+        monkeypatch.setattr(losses.UnpairedWeights, "beta_off",
+                            property(lambda self: pytest.fail("dense table built")))
+        sizes = exp_entries(monkeypatch)
+        w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
+        assert sizes == []
+        assert losses.contrastive_cross_covariance(w, x, xt, "n").shape == (12, 9)
+        assert sum(sizes) == per_entry * sims.size
 
     def test_far_row_takes_the_exact_route(self, monkeypatch):
         # Row 0 scaled by 1e3 sets c near 1.5e4; every other row's maximum of
         # sims / tau lies far more than _SHARED_RANGE below it.
         x, xt, sims, edges = pool_instance(51, n=150, m=120, scale=2.0)
         sims[0] *= 1e3
-        calls = count_calls(monkeypatch, losses.UnpairedWeights, "row_blocks")
+        self.check_exact_route(monkeypatch, x, xt, sims, edges)
+
+    def test_far_column_takes_the_exact_route(self, monkeypatch):
+        # Column 0 lowered by 1e3: every row maximum stays near c, but column
+        # 0's maximum of sims / tau lies far more than _SHARED_RANGE below it.
+        x, xt, sims, edges = pool_instance(54, n=150, m=120, scale=2.0)
+        sims[:, 0] -= 1e3
+        self.check_exact_route(monkeypatch, x, xt, sims, edges)
+
+    @staticmethod
+    def check_exact_route(monkeypatch, x, xt, sims, edges):
+        dense = dense_contrast(x, xt, sims, 0.5, 2.0, edges, 150.0)
+        sizes = exp_entries(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
             out = losses.contrastive_cross_covariance(w, x, xt, "n")
-        assert len(calls) == 1
-        assert np.array_equal(out, row_blocks_contrast(w, x, xt, 150.0))
-        pair_term = x[edges[:, 0]].T @ xt[edges[:, 1]]
-        dense = (2.0 * pair_term - x.T @ (two_softmax_table(sims, 0.5) @ xt)) / 150.0
+        assert sum(sizes) == 2 * sims.size
         assert np.all(np.isfinite(out))
         assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
-
-    def test_shared_route_never_streams_the_table(self, monkeypatch):
-        x, xt, sims, edges = pool_instance(52)
-        w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
-        monkeypatch.setattr(losses.UnpairedWeights, "row_blocks",
-                            lambda self: pytest.fail("row_blocks streamed"))
-        monkeypatch.setattr(losses.UnpairedWeights, "beta_off",
-                            property(lambda self: pytest.fail("dense table built")))
-        assert losses.contrastive_cross_covariance(w, x, xt, "n").shape == (12, 9)
 
     def test_peak_memory_holds_no_pool_sized_table(self):
         # Weights plus contrast allocate a few row blocks and O(n d) arrays,

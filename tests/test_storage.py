@@ -189,6 +189,13 @@ class TestReadEdgeCsv:
         path.write_text("4,5\n6,7\n")
         assert storage.read_edge_csv(str(path)).tolist() == [[4, 5], [6, 7]]
 
+    @pytest.mark.parametrize("first", ["+0,1", "\ufeff0,1"])
+    def test_headerless_first_edge_is_kept(self, tmp_path, first):
+        # A signed first cell, or a byte-order mark, is no header.
+        path = tmp_path / "e.csv"
+        path.write_text(first + "\n2,2\n0,0\n3,4\n", encoding="utf-8")
+        assert storage.read_edge_csv(str(path)).tolist() == [[0, 1], [2, 2], [0, 0], [3, 4]]
+
     def test_empty_file_gives_empty_edges(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
