@@ -131,19 +131,86 @@ def _canonicalize_top_tie(u, v, s, deg_left):
     return u, v
 
 
+KRYLOV_BLOCK = 12  # columns per Krylov block
+KRYLOV_DEPTH = 16  # blocks in the full Krylov basis
+KRYLOV_MIN_SIDE = 4 * KRYLOV_BLOCK * KRYLOV_DEPTH  # smaller sides below this go dense
+KRYLOV_TOL = 1e-13  # largest accepted Ritz residual, relative to lambda_1
+
+
+def _ritz(basis, image, count: int):
+    """Top count Ritz vectors of m m^T on the span of the orthonormal basis
+    (image = m m^T basis) and their largest residual relative to lambda_1;
+    the residual is inf when sigma_1 is tied or no Ritz value is positive."""
+    t = basis.T @ image
+    theta, y = np.linalg.eigh(0.5 * (t + t.T))
+    theta, y = theta[::-1], y[:, ::-1][:, :count]
+    s = np.sqrt(np.maximum(theta, 0.0))
+    vecs = basis @ y
+    if not theta[0] > 0.0 or s[0] - s[1] <= TIE_TOL * max(s[0], 1.0):
+        return vecs, np.inf
+    resid = np.linalg.norm(image @ y - vecs * theta[:count], axis=0)
+    return vecs, float(np.max(resid)) / theta[0]
+
+
+def _krylov_leading(m, count: int):
+    """Top count eigenvectors of m m^T by randomized block Krylov iteration,
+    or None when sigma_1 is tied or their Ritz residuals stay above KRYLOV_TOL.
+
+    m m^T is applied as m @ (m^T @ X), so the Gram matrix is never formed.
+    Each new block is orthogonalized against the basis so far in two passes,
+    each followed by a QR. The start block is drawn from a fixed seed, so
+    repeated calls on the same input agree bit for bit.
+    """
+    b = KRYLOV_BLOCK
+    basis = np.empty((m.shape[0], b * KRYLOV_DEPTH))
+    image = np.empty_like(basis)
+    block = np.linalg.qr(np.random.default_rng(0).standard_normal((m.shape[0], b)))[0]
+    scale = 0.0  # largest column norm of the image, at most lambda_1
+    for j in range(1, KRYLOV_DEPTH + 1):
+        done, cur = basis[:, :j * b], slice((j - 1) * b, j * b)
+        basis[:, cur] = block
+        image[:, cur] = m @ (m.T @ block)
+        scale = max(scale, float(np.max(np.linalg.norm(image[:, cur], axis=0))))
+        fresh = image[:, cur] - done @ (done.T @ image[:, cur])
+        # the basis is full, or it spans an invariant subspace
+        if j == KRYLOV_DEPTH or np.linalg.norm(fresh) <= KRYLOV_TOL * scale:
+            vecs, resid = _ritz(done, image[:, :j * b], count)
+            return vecs if resid <= KRYLOV_TOL else None
+        # give up early where the residual falls too slowly to pass by the last
+        # block; convergence speeds up as the basis grows, so the rate of blocks
+        # 4-6 carried on to block 16, r6 * (r6 / r4)**5, may overshoot 100-fold
+        if j == 4:
+            r4 = _ritz(done, image[:, :j * b], count)[1]
+            if r4 > 4e-3:
+                return None
+        if j == 6:
+            r6 = _ritz(done, image[:, :j * b], count)[1]
+            if r6 ** 6 > 100 * KRYLOV_TOL * r4 ** 5:
+                return None
+        block = np.linalg.qr(fresh)[0]
+        block = np.linalg.qr(block - done @ (done.T @ block))[0]
+
+
 def _leading_svd(a, count: int):
     """The top count singular triplets of a, widened over the run tied with the first.
 
-    One eigendecomposition of the Gram matrix on the smaller side spans the
-    leading subspace; a Rayleigh-Ritz step (linalg.svd of Q^T a, Q an
-    orthonormal basis of the left subspace) keeps linalg.svd's sign rule and
-    singular values accurate to about eps * s_1.
+    The leading subspace of the Gram matrix on the smaller side comes from
+    block Krylov iteration when that side has at least KRYLOV_MIN_SIDE rows,
+    count is at most KRYLOV_BLOCK, sigma_1 is simple and the Ritz residuals
+    pass; otherwise from one dense eigendecomposition of the Gram matrix.
+    A Rayleigh-Ritz step (linalg.svd of Q^T a, Q an orthonormal basis of the
+    left subspace) keeps linalg.svd's sign rule and singular values accurate
+    to about eps * s_1.
     """
     wide = a.shape[0] <= a.shape[1]
-    evals, evecs = np.linalg.eigh(a @ a.T if wide else a.T @ a)
-    s = np.sqrt(np.maximum(evals[::-1], 0.0))
-    tied = int(np.count_nonzero(s[0] - s <= TIE_TOL * max(s[0], 1.0)))
-    q = evecs[:, ::-1][:, :max(count, tied)]
+    m = a if wide else a.T
+    krylov = m.shape[0] >= KRYLOV_MIN_SIDE and count <= KRYLOV_BLOCK
+    q = _krylov_leading(m, count) if krylov else None
+    if q is None:
+        evals, evecs = np.linalg.eigh(m @ m.T)
+        s = np.sqrt(np.maximum(evals[::-1], 0.0))
+        tied = int(np.count_nonzero(s[0] - s <= TIE_TOL * max(s[0], 1.0)))
+        q = evecs[:, ::-1][:, :max(count, tied)]
     if not wide:
         q = np.linalg.qr(a @ q)[0]
     res = linalg.svd(q.T @ a)
@@ -228,12 +295,14 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 
 def _lloyd(points: np.ndarray, w: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
+    weighted = np.ascontiguousarray((w[:, None] * points).T)
     labels, own = _assign(points, centers)
     for it in range(KMEANS_MAX_ITER):
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, w[:, None] * points)
-        counts = np.zeros(k)
-        np.add.at(counts, labels, w)
+        # bincount adds in input order, as np.add.at does, at a fraction of its cost
+        sums = np.empty_like(centers)
+        for c, col in enumerate(weighted):
+            sums[:, c] = np.bincount(labels, weights=col, minlength=k)
+        counts = np.bincount(labels, weights=w, minlength=k)
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]

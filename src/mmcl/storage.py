@@ -78,7 +78,7 @@ def load_matrix(path: str) -> np.ndarray:
     A ragged row, or a cell that is not a finite number, raises
     InvalidInput naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read()
     text = raw.strip()
     if not text:
@@ -152,10 +152,17 @@ def _write_edge_rows(path: str, edges: np.ndarray, truth_mask) -> None:
     write_csv(path, ("i", "j", "is_truth"), rows)
 
 
-def _csv_rows(path: str) -> list:
-    """(line number, cells) for each nonblank line of a CSV file."""
+def _data_rows(path: str) -> list:
+    """(line number, cells) for each nonblank line of an integer CSV file but
+    its header, an optional first row whose first cell is not an integer."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+        rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if rows:
+        try:
+            int(rows[0][1][0])  # the rule _int_columns applies to each data cell
+        except ValueError:
+            return rows[1:]
+    return rows
 
 
 def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.ndarray:
@@ -187,15 +194,8 @@ def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.nd
 
 def read_edge_csv(path: str) -> np.ndarray:
     """Edge list from a CSV with an optional i,j[,is_truth] header; truth column
-    ignored. The first row is a header when its first cell is not an integer."""
-    rows = _csv_rows(path)
-    start = 0
-    if rows:
-        try:
-            int(rows[0][1][0])  # the rule _int_columns applies to each data cell
-        except ValueError:
-            start = 1
-    return _int_columns(path, rows[start:], 2)
+    ignored."""
+    return _int_columns(path, _data_rows(path), 2)
 
 
 def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> None:
@@ -243,7 +243,7 @@ def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> Non
 
 
 def _read_labels(path: str, count: int, k: int) -> np.ndarray:
-    labels = _int_columns(path, _csv_rows(path)[1:], 1, (k,))[:, 0]
+    labels = _int_columns(path, _data_rows(path), 1, (k,))[:, 0]
     if labels.size != count:
         raise InvalidInput(f"{path}: {labels.size} labels for {count} rows")
     return labels
@@ -275,7 +275,7 @@ def load_dataset(path: str):
     x = _load_shaped(os.path.join(path, "x.csv"), n, d1)
     xt = _load_shaped(os.path.join(path, "xt.csv"), None if kind == "labeled-bipartite" else n, d2)
     edge_path = os.path.join(path, "edges.csv")
-    rows = _int_columns(edge_path, _csv_rows(edge_path)[1:], 3, (x.shape[0], xt.shape[0]))
+    rows = _int_columns(edge_path, _data_rows(edge_path), 3, (x.shape[0], xt.shape[0]))
     edges = np.ascontiguousarray(rows[:, :2])
     if kind == "labeled-bipartite":
         k = int_option(meta, "k", None, where=f"{meta_path}: ")

@@ -31,6 +31,13 @@ def cluster_model():
     return datagen.random_model(60, 60, 4, snr=1.0, seed=0)
 
 
+def planted_graph(n_per_cluster, p_prime, seed):
+    """A corrupted 10-cluster graph as the bsgmp experiment draws it."""
+    lab = datagen.sample_labeled_bipartite(cluster_model(), n_per_cluster, 10, p_prime,
+                                           seed=seed, within_scale=0.3)
+    return BipartiteGraph(lab.n_left, lab.n_right, lab.edges)
+
+
 class TestBipartiteGraph:
     def test_basic_properties(self):
         g = BipartiteGraph(n_left=3, n_right=2, edges=np.array([[0, 0], [2, 1]]))
@@ -252,6 +259,79 @@ class TestLeadingSingularBlock:
             assert np.max(np.ptp(z_r[labels_r == c], axis=0)) < 1e-12
         assert np.allclose(z_l.T @ z_l, np.eye(2), rtol=0.0, atol=1e-12)
         assert np.max(np.abs(z_l.sum(axis=0))) < 1e-12
+
+    @pytest.fixture
+    def krylov_route(self, monkeypatch):
+        """One entry per attempted block Krylov solve: whether its result was taken."""
+        taken = []
+        inner = bsgmp._krylov_leading
+
+        def spy(m, count):
+            q = inner(m, count)
+            taken.append(q is not None)
+            return q
+
+        monkeypatch.setattr(bsgmp, "_krylov_leading", spy)
+        return taken
+
+    @pytest.mark.parametrize("shape", [(800, 900), (900, 800)])
+    def test_krylov_route_on_a_low_rank_spectrum(self, krylov_route, shape):
+        # Rank 26: the Krylov basis turns invariant after a few blocks.
+        rng = np.random.default_rng(shape[0])
+        spectrum = [3.0, 2.2, 1.7, 1.1, 0.8, 0.5] + list(rng.uniform(0.0, 0.4, 20))
+        assert self.check_against_dense(with_spectrum(rng, *shape, spectrum), 10) == 4
+        assert krylov_route == [True]
+
+    @pytest.mark.parametrize("n_per_cluster,p_prime", [(80, 0.1), (100, 0.3)])
+    def test_krylov_route_matches_dense_svd_on_planted_graphs(self, krylov_route,
+                                                              n_per_cluster, p_prime):
+        g = planted_graph(n_per_cluster, p_prime, seed=1)
+        assert self.check_against_dense(bsgmp.normalized_adjacency(g), 10) >= 2
+        assert krylov_route == [True]
+
+    @pytest.mark.parametrize("kind", ["gapless", "components", "tall"])
+    def test_failed_krylov_check_leaves_the_dense_route_unchanged(self, krylov_route,
+                                                                  monkeypatch, kind):
+        if kind == "gapless":
+            g = planted_graph(80, 0.45, seed=2)
+        elif kind == "components":
+            g = biclique_union([80] * 10, [80] * 10)[0]
+        else:
+            rng = np.random.default_rng(3)
+            mask = rng.random((1800, 800)) < 0.05
+            g = BipartiteGraph(n_left=1800, n_right=800, edges=np.argwhere(mask),
+                               weights=rng.uniform(0.5, 2.0, mask.sum()))
+        a_n = bsgmp.normalized_adjacency(g)
+        dl, dr = g.degrees()
+        z, info = bsgmp.spectral_embed(a_n, 10, dl, dr)
+        assert krylov_route == [False]
+        monkeypatch.setattr(bsgmp, "KRYLOV_MIN_SIDE", a_n.size + 1)
+        z_dense, info_dense = bsgmp.spectral_embed(a_n, 10, dl, dr)
+        assert krylov_route == [False]
+        assert np.array_equal(z, z_dense)
+        assert np.array_equal(info["singular_values"], info_dense["singular_values"])
+
+    def test_bench_shape_takes_the_krylov_route_deterministically(self, krylov_route,
+                                                                  monkeypatch):
+        # 1000 + 1000 nodes at p' 0.3, one bsgmp-sweep trial's graph: no
+        # eigendecomposition sees more than the Krylov basis.
+        g = planted_graph(100, 0.3, seed=[17, 0, 300000])
+        a_n = bsgmp.normalized_adjacency(g)
+        dl, dr = g.degrees()
+        orders = []
+        eigh = np.linalg.eigh
+
+        def spy(x, *args, **kwargs):
+            orders.append(x.shape[0])
+            return eigh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        z, info = bsgmp.spectral_embed(a_n, 10, dl, dr)
+        z_again, info_again = bsgmp.spectral_embed(a_n.copy(), 10, dl, dr)
+        assert krylov_route == [True, True]
+        assert orders and max(orders) <= bsgmp.KRYLOV_BLOCK * bsgmp.KRYLOV_DEPTH
+        assert np.array_equal(z, z_again)
+        assert np.array_equal(info["singular_values"], info_again["singular_values"])
 
     def test_isolated_nodes_embed_at_zero(self):
         rng = np.random.default_rng(11)

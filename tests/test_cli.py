@@ -599,6 +599,36 @@ class TestInstalledEntryPoint:
         assert "gen" in proc.stdout
 
 
+class TestRuntimeDependencies:
+    def test_importing_every_module_loads_no_scipy(self):
+        import sys
+        import mmcl
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmcl.__file__)))
+        code = (
+            "import importlib, pkgutil, sys, mmcl\n"
+            "for mod in pkgutil.walk_packages(mmcl.__path__, 'mmcl.'):\n"
+            "    if mod.name != 'mmcl.__main__':\n"
+            "        importlib.import_module(mod.name)\n"
+            "print(len([n for n in sys.modules if n.startswith('mmcl.')]))\n"
+            "print(','.join(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded, scipy_modules = proc.stdout.split("\n")[:2]
+        assert int(loaded) >= 9  # every module but the package and __main__
+        assert scipy_modules == ""
+
+    def test_declared_runtime_dependencies_are_numpy_alone(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert [dep.split(">")[0].split("=")[0].strip()
+                for dep in project["dependencies"]] == ["numpy"]
+
+
 def strip_wall_time(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -62,6 +62,13 @@ class TestMatrixRoundTrip:
         assert back.dtype == np.float64
         assert np.array_equal(back, arr)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        arr = np.random.default_rng(2).standard_normal((6, 4))
+        path = tmp_path / "x.csv"
+        storage.save_matrix(str(path), arr)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert np.array_equal(storage.load_matrix(str(path)), arr)
+
     def test_extreme_values_survive(self, tmp_path):
         arr = np.array([[1e-300, -1e300], [0.0, -0.0]])
         path = tmp_path / "m.csv"
@@ -281,6 +288,21 @@ class TestDatasetRoundTrip:
             i, j, t = (int(v) for v in ln.split(","))
             assert t == int(lab.labels_x[i] == lab.labels_xt[j])
 
+    def test_headerless_edge_and_label_files_keep_their_first_row(self, tmp_path):
+        ds = datagen.sample_paired(self.model, 30, 0.2, seed=3)
+        lab = datagen.sample_labeled_bipartite(self.model, 4, 3, 0.1, seed=5)
+        for data, name in ((ds, "paired"), (lab, "lab")):
+            storage.save_dataset(str(tmp_path / name), data)
+        for path in [tmp_path / "paired" / "edges.csv"] + [
+                tmp_path / "lab" / f for f in ("edges.csv", "labels_left.csv", "labels_right.csv")]:
+            path.write_text(path.read_text().split("\n", 1)[1])
+        back = storage.load_dataset(str(tmp_path / "paired"))
+        assert back.observed_edges.shape == (30, 2)
+        assert np.array_equal(back.observed_edges, ds.observed_edges)
+        back = storage.load_dataset(str(tmp_path / "lab"))
+        assert np.array_equal(back.edges, lab.edges)
+        assert np.array_equal(back.labels_x, lab.labels_x)
+        assert np.array_equal(back.labels_xt, lab.labels_xt)
 
     @pytest.mark.parametrize("row,fragment", [
         ("3,4", "2 cells, expected 3"), ("3,x,1", "non-integer"), ("3,4,yes", "non-integer")])
