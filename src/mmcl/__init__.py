@@ -30,6 +30,7 @@ from .losses import (
     ContrastiveWeights,
     EncoderPair,
     LossSpec,
+    PoolSimilarity,
     compute_weights,
     contrastive_cross_covariance,
     loss_gradient,

@@ -15,6 +15,7 @@ from . import linalg
 from .errors import InvalidInput, InvalidProbability, InvalidRank
 
 NOISE_FAMILIES = ("gaussian", "rademacher", "uniform")
+_EDGE_BLOCK_ROWS = 64  # rows per block of the labeled-bipartite edge draw
 
 
 def draw_coordinates(rng: np.random.Generator, shape, family: str) -> np.ndarray:
@@ -352,11 +353,12 @@ def sample_labeled_bipartite(
     noise2 = draw_coordinates(rng, (n, params.d2), params.family) @ _psd_sqrt(params.sigma_xit).T
     x, xt = _observations(params, w, wt, noise1, noise2)
 
-    same = labels[:, None] == labels[None, :]
-    keep_prob = np.where(same, 1.0 - p_prime, p_prime)
-    present = rng.random((n, n)) < keep_prob
-    ii, jj = np.nonzero(present)
-    edges = np.stack([ii, jj], axis=1).astype(np.int64)
+    edges = []
+    for lo in range(0, n, _EDGE_BLOCK_ROWS):  # rng.random fills in C order: one (n, n) stream
+        same = labels[lo:lo + _EDGE_BLOCK_ROWS, None] == labels[None, :]
+        ii, jj = np.nonzero(rng.random(same.shape) < np.where(same, 1.0 - p_prime, p_prime))
+        edges.append(np.stack([ii + lo, jj], axis=1))
+    edges = np.concatenate(edges).astype(np.int64)
     meta = {"kind": "labeled-bipartite", "seed_repr": repr(seed), "p_prime": float(p_prime)}
     return LabeledBipartite(
         x=x,

@@ -12,14 +12,17 @@ builds them densely. The loss value and gradient take a different route to
 the same derivative: softmax losses (psi exp, phi log or log1p) share one
 exponential of sims / tau between the row and the column tables, and the
 other losses, or a similarity spread too wide for one shift, assemble the
-alpha tables into a per-entry weight matrix. The unpaired contrast likewise
-takes one exponential per pool entry, in row blocks with no n x n temporary;
-a pool too spread for one shift takes two in the same pass, one shifted per
-row and one per column.
+alpha tables into a per-entry weight matrix. An unpaired pool's similarity
+is never stored: PoolSimilarity keeps its two rank-r factors and rebuilds row
+blocks, once for an extrema scan that the edge estimator and the weights share
+and once for the contrast, which takes one exponential per pool entry; a pool
+too spread for one shift takes two in the same pass, one shifted per row and
+one per column.
 """
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .errors import InvalidInput, NonFinite
 PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
 CN_RULES = ("n(n-1)", "n")
-_BLOCK_ROWS = 64  # rows per block of the streamed unpaired softmax table
+_BLOCK_ROWS = 64  # rows per block of a PoolSimilarity
 _SHARED_RANGE = 600.0  # exp(-600) ~ 1e-261: a row or column sum stays a normal number
 
 
@@ -160,6 +163,74 @@ def similarity_matrix(enc: EncoderPair, x, xt) -> np.ndarray:
     return (x @ enc.g1.T) @ (enc.g2 @ xt.T)
 
 
+class PoolSimilarity:
+    """An n x m similarity table held as its factors a = x g1.T (n x r) and
+    bt = g2 xt.T (r x m), or a dense table held as a (bt None).
+
+    The table is the stack of its row blocks a[lo:hi] @ bt, rebuilt on demand.
+    They equal the rows of similarity_matrix wherever the BLAS rounds a row
+    block as it rounds the whole product, as OpenBLAS did in every shape
+    checked with m a multiple of 8. The extrema of one pass over them are
+    kept for estimate_edges and unpaired_weights. It has a length but no
+    ndim: it is not a stored table.
+    """
+
+    def __init__(self, a: np.ndarray, bt: np.ndarray | None = None):
+        self.a, self.bt = a, bt
+        self.shape = (a.shape[0], a.shape[1] if bt is None else bt.shape[1])
+
+    @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # the extrema scan reports inf / nan
+    def encode(cls, enc: EncoderPair, x, xt) -> "PoolSimilarity":
+        """The two factors whose product similarity_matrix(enc, x, xt) forms."""
+        return cls(as_matrix(x, "x") @ enc.g1.T, enc.g2 @ as_matrix(xt, "xt").T)
+
+    @classmethod
+    def of(cls, sims) -> "PoolSimilarity":
+        """sims itself if it is a PoolSimilarity, else the 2-D array it holds."""
+        return sims if isinstance(sims, cls) else cls(as_2d(sims, "sims"))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def dense(self) -> np.ndarray:
+        return self.a if self.bt is None else np.concatenate([b for _, b in self.blocks()])
+
+    @np.errstate(over="ignore", invalid="ignore")  # the extrema scan reports inf / nan
+    def block(self, lo: int) -> np.ndarray:
+        """Rows lo to lo + _BLOCK_ROWS: a new array, or a view of a dense table."""
+        rows = self.a[lo:lo + _BLOCK_ROWS]
+        if self.bt is None:
+            return rows
+        if rows.shape[0] == 1 and lo:  # numpy takes a one-row product by gemv, not gemm
+            return (self.a[lo - _BLOCK_ROWS:lo + 1] @ self.bt)[-1:]
+        return rows @ self.bt
+
+    def blocks(self):
+        return ((lo, self.block(lo)) for lo in range(0, self.shape[0], _BLOCK_ROWS))
+
+    @cached_property
+    def extrema(self):
+        """(row argmax, row max, row min, column max, column argmax), a column's
+        argmax being the first row at its maximum, from one pass over the blocks.
+        InvalidInput on a non-finite entry: a NaN or inf shows in its row's
+        maximum, a -inf in its row's minimum."""
+        n, m = self.shape
+        row_best, row_max, row_min = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+        col_max, col_best = np.full(m, -np.inf), np.zeros(m, dtype=np.int64)
+        for lo, block in self.blocks():
+            rows = slice(lo, lo + block.shape[0])
+            row_best[rows] = best = np.argmax(block, axis=1)
+            row_max[rows] = block[np.arange(block.shape[0]), best]
+            row_min[rows] = np.min(block, axis=1)
+            block_max = np.max(block, axis=0)  # moves a column only when strictly larger
+            cols = np.flatnonzero(block_max > col_max)
+            col_max[cols] = block_max[cols]
+            col_best[cols] = lo + np.argmax(block[:, cols] == block_max[cols], axis=0)
+        require_finite(np.concatenate([row_max, row_min]), "sims")
+        return row_best, row_max, row_min, col_max, col_best
+
+
 def _data_arrays(data):
     if hasattr(data, "x") and hasattr(data, "xt"):
         return as_matrix(data.x, "x"), as_matrix(data.xt, "xt")
@@ -254,11 +325,11 @@ class ContrastiveWeights:
 @dataclass(frozen=True)
 class UnpairedWeights:
     """An unpaired pool's symmetrized softmax table, never stored, plus the pair
-    set whose empirical cross-covariance enters with weight nu. Holds sims (not
-    copied) and the row and column maxima of sims / tau; the contrast streams
-    the table, and beta_off builds it densely on each call."""
+    set whose empirical cross-covariance enters with weight nu. Holds the
+    pool's PoolSimilarity and the row and column maxima of sims / tau; the
+    contrast streams the table, and beta_off builds it densely on each call."""
 
-    sims: np.ndarray
+    sims: PoolSimilarity
     tau: float
     row_max: np.ndarray
     col_max: np.ndarray
@@ -267,7 +338,7 @@ class UnpairedWeights:
 
     @property
     def beta_off(self) -> np.ndarray:
-        rows = self.sims / self.tau
+        rows = self.sims.dense() / self.tau
         beta = np.subtract(rows, self.col_max)
         np.exp(beta, out=beta)
         beta /= 2.0 * np.sum(beta, axis=0)
@@ -298,10 +369,11 @@ def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
 def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
     """Full-support softmax table of sims / tau, the average of its row and its
     column softmax over all entries (nothing marks an entry as an observed
-    pair), plus a pair set. One pass over row blocks keeps the row and column
-    maxima of sims / tau and takes no exponential; a non-finite entry raises
-    InvalidInput, an overflowing sims / tau NonFinite."""
-    sims = as_2d(sims, "sims")
+    pair), plus a pair set. sims is a PoolSimilarity or a 2-D array. The row
+    and column maxima of sims / tau come from its extrema scan, which
+    estimate_edges may already have taken, and no exponential is taken; a
+    non-finite entry raises InvalidInput, an overflowing sims / tau NonFinite."""
+    sims = PoolSimilarity.of(sims)
     if not 0 < tau < np.inf:
         raise InvalidInput(f"tau must be positive and finite, got {tau}")
     if not 1.0 <= nu < np.inf:
@@ -311,17 +383,11 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
         raise InvalidInput("unpaired weights need a nonempty pair set")
     if np.any(edges < 0) or np.any(edges >= sims.shape):
         raise InvalidInput("pair indices out of range")
-    row_max, col_max = np.empty(sims.shape[0]), np.full(sims.shape[1], -np.inf)
-    for lo in range(0, sims.shape[0], _BLOCK_ROWS):
-        block = sims[lo:lo + _BLOCK_ROWS]
-        with np.errstate(over="ignore"):  # max(s) / tau == max(s / tau), and so for min
-            top, low = np.max(block, axis=1) / tau, np.min(block, axis=1) / tau
-        if not np.all(np.isfinite((top, low))):
-            require_finite(block, "sims")
-            raise NonFinite(f"sims / tau overflows at tau {tau}")
-        row_max[lo:lo + _BLOCK_ROWS] = top
-        np.maximum(col_max, np.max(block, axis=0), out=col_max)
-    col_max /= tau
+    _, row_max, row_min, col_max, _ = sims.extrema
+    with np.errstate(over="ignore"):  # max(s) / tau == max(s / tau), and so for min
+        row_max, row_min, col_max = row_max / tau, row_min / tau, col_max / tau
+    if not np.all(np.isfinite((row_max, row_min))):
+        raise NonFinite(f"sims / tau overflows at tau {tau}")
     return UnpairedWeights(sims=sims, tau=tau, row_max=row_max, col_max=col_max,
                            edges=edges, nu=float(nu))
 
@@ -350,8 +416,8 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
 
 
 def _pool_softmax_term(w: UnpairedWeights, x: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """x.T @ table @ xt of an unpaired pool from one pass over row blocks of sims
-    / tau. It sums E @ [xt | 1] (E xt, row sums R) and [x | 1].T @ F (x.T F,
+    """x.T @ table @ xt of an unpaired pool from one pass over the row blocks of
+    sims / tau. It sums E @ [xt | 1] (E xt, row sums R) and [x | 1].T @ F (x.T F,
     column sums C) into 0.5 (x.T (E xt / R) + (x.T F)(xt / C)). If c = max(sims /
     tau) is finite and every row and column maximum of sims / tau is within
     _SHARED_RANGE of it, E = F = exp(sims / tau - c), one exponential per entry.
@@ -361,9 +427,9 @@ def _pool_softmax_term(w: UnpairedWeights, x: np.ndarray, xt: np.ndarray) -> np.
     shared = np.isfinite(c) and min(np.min(w.row_max), np.min(w.col_max)) >= c - _SHARED_RANGE
     x1, xt1 = (np.pad(a, ((0, 0), (0, 1)), constant_values=1.0) for a in (x, xt))
     right, left = np.empty((x.shape[0], xt1.shape[1])), np.zeros((x1.shape[1], xt.shape[0]))
-    for lo in range(0, w.sims.shape[0], _BLOCK_ROWS):
+    for lo, block in w.sims.blocks():
         rows = slice(lo, lo + _BLOCK_ROWS)
-        e = w.sims[rows] / w.tau
+        e = block / w.tau
         f = e if shared else np.exp(e - w.col_max)  # taken before e is overwritten
         np.exp(np.subtract(e, c if shared else w.row_max[rows, None], out=e), out=e)
         right[rows] = e @ xt1

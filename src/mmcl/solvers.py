@@ -17,6 +17,7 @@ from .errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
 from .losses import (
     EncoderPair,
     LossSpec,
+    PoolSimilarity,
     _value_and_gradient,
     compute_weights,
     contrastive_cross_covariance,
@@ -25,8 +26,6 @@ from .losses import (
     similarity_matrix,
     unpaired_weights,
 )
-
-_ARGMAX_BLOCK_ROWS = 32  # rows per block of the row and column argmax in estimate_edges
 
 
 @dataclass
@@ -225,31 +224,22 @@ def estimate_edges(sims) -> EdgeEstimate:
     """The n best pairs of the pool that holds each row's and each column's
     argmax in a square similarity matrix, ties broken lexicographically by
     index. The pairs are not necessarily one-to-one: a row or a column may
-    appear in more than one of them."""
-    sims = linalg.as_2d(sims, "sims")
+    appear in more than one of them. sims is a PoolSimilarity or a 2-D array;
+    everything is read from its extrema scan, which unpaired_weights reuses."""
+    sims = PoolSimilarity.of(sims)
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput(f"similarity matrix must be square, got {sims.shape}")
     n = sims.shape[0]
     if n < 1:
         raise InvalidInput("similarity matrix is empty")
-    # np.argmax(sims, axis=1) per block, and np.argmax(sims, axis=0) as a running
-    # maximum that moves only on a strictly larger value, so ties keep the first row.
-    col_max = np.full(n, -np.inf)
-    col_best = np.zeros(n, dtype=np.int64)
-    row_best = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _ARGMAX_BLOCK_ROWS):
-        block = linalg.require_finite(sims[lo:lo + _ARGMAX_BLOCK_ROWS], "sims")
-        row_best[lo:lo + _ARGMAX_BLOCK_ROWS] = np.argmax(block, axis=1)
-        block_max = np.max(block, axis=0)
-        cols = np.flatnonzero(block_max > col_max)
-        col_max[cols] = block_max[cols]
-        col_best[cols] = lo + np.argmax(block[:, cols] == block_max[cols], axis=0)
+    row_best, row_max, _, col_max, col_best = sims.extrema
     # Pool pairs as codes i * n + j; ascending codes are lexicographic pairs.
     items = np.arange(n, dtype=np.int64)
     codes = linalg.sorted_unique(np.concatenate([items * n + row_best,
                                                  col_best * n + items]))
     rows, cols = np.divmod(codes, n)
-    scores = sims[rows, cols]
+    # each pool pair is its row's argmax or its column's, so its score is that maximum
+    scores = np.where(row_best[rows] == cols, row_max[rows], col_max[cols])
     ranked = np.lexsort((cols, rows, -scores))[:n]
     threshold = float(scores[ranked[-1]])
     kept = np.sort(ranked)
@@ -266,7 +256,8 @@ def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
     init_mode="infonce"). Step two scores the unpaired pool with the
     anchors, estimates a pair set, forms the unpaired contrast matrix
     with the symmetrized softmax table, and returns its truncated SVD
-    scaled by 1 / rho.
+    scaled by 1 / rho. The pool's scores are held as two n x r factors
+    (PoolSimilarity), never as an n x n table.
     """
     flags = ("nu-not-above-one",) if spec.nu <= 1.0 else ()
     if init_mode == "linear":
@@ -279,7 +270,7 @@ def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
 
     xu = linalg.as_matrix(unpaired.x, "unpaired x")
     xtu = linalg.as_matrix(unpaired.xt, "unpaired xt")
-    sims_u = similarity_matrix(anchor_fit.enc, xu, xtu)
+    sims_u = PoolSimilarity.encode(anchor_fit.enc, xu, xtu)
     est = estimate_edges(sims_u)
     weights = unpaired_weights(sims_u, spec.tau, spec.nu, est.edges)
     s_hat = contrastive_cross_covariance(weights, xu, xtu, "n")

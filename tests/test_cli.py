@@ -393,6 +393,24 @@ class TestMalformedInputs:
         assert code == NUMERICAL_EXIT_CODE
         assert "tau" in err
 
+    def test_overflowing_pool_product_exits_2(self, tmp_path, capsys):
+        # Finite pool entries whose scores overflow: the factored pool's scan
+        # reports them on one line, and no numpy warning comes before it.
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=70, subdir="pool")
+        for name in ("x.csv", "xt.csv"):
+            path = tmp_path / "pool" / name
+            rows = path.read_text().splitlines()
+            rows[66] = ",".join(["1e308"] * len(rows[66].split(",")))
+            path.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired", pool,
+                                          "--out", str(tmp_path / "fit"), "--r", "1"])
+        assert code == CONFIG_EXIT_CODE
+        assert err == "error: sims contains non-finite entries\n"
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("fit", [
         ["gd", "--phi", "log1p", "--psi", "exp", "--epsilon", "0", "--cn", "n"],
         ["semi", "--unpaired", "pool", "--init", "infonce"]])

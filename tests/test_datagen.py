@@ -223,6 +223,32 @@ class TestSampleLabeledBipartite:
         with pytest.raises(InvalidProbability):
             datagen.sample_labeled_bipartite(m, 4, 3, 1.5)
 
+    @pytest.mark.parametrize("p_prime", [0.0, 0.3, 1.0])
+    def test_edge_draw_matches_dense_formula(self, monkeypatch, p_prime):
+        # 150 nodes span two full row blocks and a ragged one. The dense formula
+        # draws one (150, 150) table from the same generator state.
+        assert 150 % datagen._EDGE_BLOCK_ROWS
+        states = []
+
+        class Recording(np.random.Generator):
+            def random(self, size=None):
+                states.append(self.bit_generator.state)
+                return super().random(size)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Recording(np.random.PCG64(seed)))
+        m = datagen.random_model(6, 6, 2, seed=0)
+        lb = datagen.sample_labeled_bipartite(m, 30, 5, p_prime, seed=8)
+        monkeypatch.undo()
+        assert len(states) == 3
+        assert np.array_equal(lb.x, datagen.sample_labeled_bipartite(m, 30, 5, p_prime, seed=8).x)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = states[0]
+        same = lb.labels_x[:, None] == lb.labels_xt[None, :]
+        present = rng.random((150, 150)) < np.where(same, 1.0 - p_prime, p_prime)
+        assert lb.edges.dtype == np.int64
+        assert np.array_equal(lb.edges, np.stack(np.nonzero(present), axis=1))
+
     def test_reproducible(self):
         m = datagen.random_model(6, 6, 2, seed=0)
         a = datagen.sample_labeled_bipartite(m, 4, 3, 0.2, seed=9)

@@ -670,6 +670,100 @@ class TestSharedPoolExponential:
         assert peak < sims.nbytes / 4
 
 
+def factored_pool(seed, n, m, r=5, ties=False):
+    """A PoolSimilarity of random factors and its dense table; integer factors
+    with ties=True, so rows and columns repeat their maxima."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        a, bt = (rng.integers(-2, 3, size).astype(np.float64) for size in ((n, 2), (2, m)))
+    else:
+        a, bt = rng.standard_normal((n, r)), rng.standard_normal((r, m))
+    src = losses.PoolSimilarity(a, bt)
+    return src, src.dense()
+
+
+class TestPoolSimilarity:
+    """A factored pool gives the results of its dense table bit for bit."""
+
+    # square and non-square, no side a multiple of the 64-row block (or of 32)
+    SHAPES = [(131, 131), (97, 200), (200, 97), (65, 3)]
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_blocks_are_the_rows_of_the_whole_product(self, n, m):
+        # Holds where the BLAS rounds a block as it rounds the whole product,
+        # as OpenBLAS does at these sizes.
+        src, dense = factored_pool(n * m, n, m)
+        assert np.array_equal(dense, src.a @ src.bt)
+        assert len(src) == n and src.shape == (n, m)
+        assert not hasattr(src, "ndim")  # never counted as a stored table
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_extrema_match_numpy(self, n, m, ties):
+        src, dense = factored_pool(n + m, n, m, ties=ties)
+        row_best, row_max, row_min, col_max, col_best = src.extrema
+        assert np.array_equal(row_best, np.argmax(dense, axis=1))
+        assert np.array_equal(row_max, np.max(dense, axis=1))
+        assert np.array_equal(row_min, np.min(dense, axis=1))
+        assert np.array_equal(col_max, np.max(dense, axis=0))
+        assert np.array_equal(col_best, np.argmax(dense, axis=0))  # first row on ties
+
+    @pytest.mark.parametrize("tau", [0.4, 1e-3])  # the shared and the fallback route
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_weights_and_contrast_match_dense(self, n, m, tau):
+        src, dense = factored_pool(3 * n + m, n, m)
+        rng = np.random.default_rng(n * m)
+        x, xt = rng.standard_normal((n, 4)), rng.standard_normal((m, 3))
+        edges = np.stack([rng.integers(0, n, 9), rng.integers(0, m, 9)], axis=1)
+        factored = losses.unpaired_weights(src, tau, 2.0, edges)
+        stored = losses.unpaired_weights(dense, tau, 2.0, edges)
+        assert factored.sims is src
+        for field in ("row_max", "col_max", "edges"):
+            assert np.array_equal(getattr(factored, field), getattr(stored, field))
+        assert np.array_equal(losses.contrastive_cross_covariance(factored, x, xt, "n"),
+                              losses.contrastive_cross_covariance(stored, x, xt, "n"))
+        assert np.array_equal(factored.beta_off, stored.beta_off)
+
+    def test_encode_factors_similarity_matrix(self):
+        x, xt, enc = random_instance(30, n=150)
+        src = losses.PoolSimilarity.encode(enc, x, xt)
+        sims = losses.similarity_matrix(enc, x, xt)
+        assert np.abs(src.dense() - sims).max() <= 1e-14 * np.abs(sims).max()
+        with pytest.raises(InvalidInput, match="xt contains non-finite"):
+            losses.PoolSimilarity.encode(enc, x, np.full_like(xt, np.nan))
+
+    @pytest.mark.parametrize("n,m", [(129, 129), (65, 8), (193, 40)])
+    def test_one_row_last_block_is_rounded_as_in_the_whole_product(self, n, m):
+        # numpy sends a one-row product to gemv; the last row is taken from a
+        # gemm of the last 65 rows, which rounds it as the whole product does.
+        assert n % losses._BLOCK_ROWS == 1
+        rng = np.random.default_rng(n + m)
+        a, bt = rng.standard_normal((n, 10)), rng.standard_normal((10, m))
+        blocks = list(losses.PoolSimilarity(a, bt).blocks())
+        assert blocks[-1][1].shape == (1, m)
+        assert np.array_equal(blocks[-1][1], (a @ bt)[-1:])
+
+    def test_overflowing_product_rejected_without_warning(self):
+        # Finite factors whose product overflows in one block: the scan names
+        # sims, and neither the rebuild nor the scan warns.
+        src, _ = factored_pool(31, 131, 97)
+        src.a[100] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="sims contains non-finite"):
+                losses.unpaired_weights(src, 0.5, 2.0, [[0, 0]])
+
+    def test_scan_is_shared_and_taken_once(self, monkeypatch):
+        src, _ = factored_pool(32, 131, 97)
+        built = []
+        block = losses.PoolSimilarity.block
+        monkeypatch.setattr(losses.PoolSimilarity, "block",
+                            lambda self, lo: built.append(lo) or block(self, lo))
+        losses.unpaired_weights(src, 0.5, 2.0, [[0, 0]])
+        losses.unpaired_weights(src, 0.7, 1.5, [[1, 2]])
+        assert built == [0, 64, 128]
+
+
 class TestLossGradient:
     def test_contrast_identity(self):
         # The gradient decomposes through the weighted contrast matrix:

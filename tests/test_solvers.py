@@ -456,13 +456,14 @@ class TestEstimateEdges:
         assert a.edges.shape == (4, 2)
 
     @pytest.mark.parametrize("where,value", [
-        ((99, 40), np.nan),      # only in the ragged last argmax block
-        ((96, 0), np.nan),       # first row of that block
+        ((99, 40), np.nan),      # only in the ragged last scan block
+        ((96, 0), np.nan),
         ((7, 3), -np.inf),       # a lone -inf moves no column maximum
         ((50, 50), np.inf),
+        ((64, 0), np.nan),       # first row of the ragged last scan block
     ])
     def test_non_finite_entry_rejected(self, where, value):
-        assert 100 % solvers._ARGMAX_BLOCK_ROWS
+        assert 100 % losses._BLOCK_ROWS
         sims = np.random.default_rng(17).standard_normal((100, 100))
         sims[where] = value
         with pytest.raises(InvalidInput, match="non-finite"):
@@ -473,6 +474,24 @@ class TestEstimateEdges:
             solvers.estimate_edges(np.zeros((3, 4)))
         with pytest.raises(InvalidInput):
             solvers.estimate_edges(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [1, 97, 131, 200])
+    def test_factored_pool_matches_its_dense_table(self, n, ties):
+        # Sizes that are no multiple of the 64-row block (nor of 32), and
+        # integer factors whose products tie.
+        rng = np.random.default_rng(n)
+        r = 2 if ties else 5
+        a, bt = rng.standard_normal((n, r)), rng.standard_normal((r, n))
+        if ties:
+            a, bt = np.round(2 * a), np.round(2 * bt)
+        src = losses.PoolSimilarity(a, bt)
+        factored, dense = solvers.estimate_edges(src), solvers.estimate_edges(src.dense())
+        assert np.array_equal(factored.edges, dense.edges)
+        assert factored.threshold == dense.threshold
+        assert factored.pool_size == dense.pool_size
+        with pytest.raises(InvalidInput, match="square"):
+            solvers.estimate_edges(losses.PoolSimilarity(a, bt[:, 1:]))
 
 
 class TestSemisupervised:
@@ -522,8 +541,8 @@ class TestSemisupervised:
         assert np.median(paired_err) > 0.60
 
     def test_peak_memory_holds_one_pool_table(self):
-        # The pool's similarity table is the only n x n array: the softmax
-        # table is streamed into the contrast in row blocks.
+        # No n x n array: the similarity is held as two factors and the
+        # softmax table is streamed into the contrast in row blocks.
         import tracemalloc
         model = datagen.random_model(40, 39, 10, snr=1 / 0.3, seed=0)
         ds = datagen.sample_paired(model, 200, 0.0, seed=(28, 1))
@@ -536,6 +555,69 @@ class TestSemisupervised:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 1500 * 1500 * 8
+
+    def test_each_pool_block_is_built_twice(self, monkeypatch):
+        # Once for the extrema scan that estimate_edges and unpaired_weights
+        # share, once for the contrast; the pool table itself is never built.
+        model = datagen.random_model(12, 10, 3, snr=2.0, seed=0)
+        ds = datagen.sample_paired(model, 60, 0.0, seed=(29, 1))
+        pool = datagen.sample_unpaired(model, 300, seed=(29, 2))
+        built = []
+        block = losses.PoolSimilarity.block
+        monkeypatch.setattr(losses.PoolSimilarity, "block",
+                            lambda self, lo: built.append(lo) or block(self, lo))
+        monkeypatch.setattr(losses.PoolSimilarity, "dense",
+                            lambda self: pytest.fail("pool table built"))
+        solvers.fit_semisupervised(ds, pool, 3, LossSpec.clip(tau=0.5, nu=2.0))
+        assert sorted(built) == sorted(2 * list(range(0, 300, losses._BLOCK_ROWS)))
+
+    @pytest.mark.parametrize("tau", [None, 0.7, 1e-3])  # schedule, fixed, fallback route
+    def test_factored_fit_matches_the_dense_route(self, tau):
+        # The dense oracle: the same steps on the stacked pool table.
+        model = datagen.random_model(12, 10, 3, snr=2.0, seed=0)
+        ds = datagen.sample_paired(model, 60, 0.0, seed=(30, 1))
+        pool = datagen.sample_unpaired(model, 193, seed=(30, 2))
+        spec = LossSpec.clip(tau=tau or losses.schedule_tau(3, 193), nu=2.0)
+        fit = solvers.fit_semisupervised(ds, pool, 3, spec)
+        anchors = solvers.fit_linear_closed_form(ds, 3).enc
+        sims = losses.PoolSimilarity.encode(anchors, pool.x, pool.xt).dense()
+        est = solvers.estimate_edges(sims)
+        weights = losses.unpaired_weights(sims, spec.tau, spec.nu, est.edges)
+        s_hat = losses.contrastive_cross_covariance(weights, pool.x, pool.xt, "n")
+        _, product, _, _ = solvers._truncated_fit(s_hat, 3, 1.0 / spec.rho)
+        assert np.array_equal(fit.meta["edges"], est.edges)
+        assert np.array_equal(fit.product, product)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_match_the_benchmark_rederivation(self, seed):
+        # The benchmark's semi-pool check re-derives the edge set from the dense
+        # similarity_matrix at its own shape (500 pairs, a pool of 4000, rank
+        # 10) and requires fit.json's edge count and threshold exactly.
+        model = datagen.random_model(40, 39, 10, snr=1 / 0.3, seed=0)
+        ds = datagen.sample_paired(model, 500, 0.0, seed=(seed, 0, 1))
+        pool = datagen.sample_unpaired(model, 4000, seed=(seed, 0, 2))
+        fit = solvers.fit_semisupervised(ds, pool, 10, LossSpec(
+            nu=2.0, tau=losses.schedule_tau(10, 4000), cn="n"))
+        anchors = solvers.fit_linear_closed_form(ds, 10).enc
+        est = solvers.estimate_edges(losses.similarity_matrix(anchors, pool.x, pool.xt))
+        assert np.array_equal(fit.meta["edges"], est.edges)
+        assert fit.meta["edge_threshold"] == est.threshold
+
+    def test_pool_16000_holds_no_pool_table(self):
+        # A 16000 x 16000 table is 1953 MiB; the fit stays under 100 MiB above
+        # its inputs.
+        import tracemalloc
+        model = datagen.random_model(40, 39, 10, snr=1 / 0.3, seed=0)
+        ds = datagen.sample_paired(model, 500, 0.0, seed=(31, 1))
+        pool = datagen.sample_unpaired(model, 16000, seed=(31, 2))
+        spec = LossSpec(nu=2.0, tau=losses.schedule_tau(10, 16000), cn="n")
+        tracemalloc.start()
+        try:
+            solvers.fit_semisupervised(ds, pool, 10, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_meta_and_flags(self):
         model = datagen.random_model(6, 5, 2, snr=2.0, seed=1)
