@@ -94,6 +94,8 @@ def _cmd_fit(args) -> int:
     else:
         fit = solvers.fit_sscl_baseline(ds.x, args.r, args.rho, mode=args.mode,
                                         k_draws=args.k_draws, seed=args.seed)
+    if not np.isfinite(fit.final_loss):  # gd that takes no step returns its initial loss
+        raise errors.NonFinite("final loss is not finite")
     storage.save_fit(args.out, fit, spec, extra)
     flag_note = f" flags={','.join(fit.flags)}" if fit.flags else ""
     print(f"fit {args.method}: loss={fit.final_loss!r} "

@@ -23,7 +23,8 @@ import numpy as np
 from . import bsgmp as bsgmp_mod
 from . import datagen, linalg, solvers, storage
 from .errors import InvalidInput, MmclError, DegenerateData
-from .losses import EncoderPair, LossSpec, loss_value, loss_gradient, schedule_tau
+from .losses import (EncoderPair, LossSpec, loss_value, loss_gradient, schedule_tau,
+                     similarity_matrix)
 from .storage import float_option, int_option
 
 METRIC_NAMES = (
@@ -42,8 +43,7 @@ def downstream_accuracy(enc: EncoderPair, data: datagen.LabeledBipartite) -> flo
     """Top-1 cross-modal retrieval accuracy against cluster labels."""
     if data.n_left == 0 or data.n_right == 0:
         raise InvalidInput("empty evaluation set")
-    sims = (data.x @ enc.g1.T) @ (enc.g2 @ data.xt.T)
-    pred = np.argmax(sims, axis=1)
+    pred = np.argmax(similarity_matrix(enc, data.x, data.xt), axis=1)
     return float(np.mean(data.labels_x == data.labels_xt[pred]))
 
 

@@ -157,22 +157,19 @@ class EncoderPair:
 
 
 def similarity_matrix(enc: EncoderPair, x, xt) -> np.ndarray:
-    """Pairwise inner products of encoded samples, rows indexing x."""
-    x = as_matrix(x, "x")
-    xt = as_matrix(xt, "xt")
-    return (x @ enc.g1.T) @ (enc.g2 @ xt.T)
+    """Inner products of encoded samples, PoolSimilarity.encode(enc, x, xt).dense()."""
+    return PoolSimilarity.encode(enc, x, xt).dense()
 
 
 class PoolSimilarity:
     """An n x m similarity table held as its factors a = x g1.T (n x r) and
     bt = g2 xt.T (r x m), or a dense table held as a (bt None).
 
-    The table is the stack of its row blocks a[lo:hi] @ bt, rebuilt on demand.
-    They equal the rows of similarity_matrix wherever the BLAS rounds a row
-    block as it rounds the whole product, as OpenBLAS did in every shape
-    checked with m a multiple of 8. The extrema of one pass over them are
-    kept for estimate_edges and unpaired_weights. It has a length but no
-    ndim: it is not a stored table.
+    The table is the stack of its row blocks a[lo:hi] @ bt, rebuilt on demand;
+    every score table in the package, similarity_matrix's included, is built
+    from these blocks. The extrema of one pass over them are kept for
+    estimate_edges and unpaired_weights. It has a length but no ndim: it is
+    not a stored table.
     """
 
     def __init__(self, a: np.ndarray, bt: np.ndarray | None = None):
@@ -193,18 +190,21 @@ class PoolSimilarity:
     def __len__(self) -> int:
         return self.shape[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf / nan, no warning
     def dense(self) -> np.ndarray:
-        return self.a if self.bt is None else np.concatenate([b for _, b in self.blocks()])
+        """The whole table, each row block written in place as block() builds it."""
+        if self.bt is None:
+            return self.a
+        out = np.empty(self.shape)
+        for lo in range(0, self.shape[0], _BLOCK_ROWS):
+            np.matmul(self.a[lo:lo + _BLOCK_ROWS], self.bt, out=out[lo:lo + _BLOCK_ROWS])
+        return out
 
     @np.errstate(over="ignore", invalid="ignore")  # the extrema scan reports inf / nan
     def block(self, lo: int) -> np.ndarray:
         """Rows lo to lo + _BLOCK_ROWS: a new array, or a view of a dense table."""
         rows = self.a[lo:lo + _BLOCK_ROWS]
-        if self.bt is None:
-            return rows
-        if rows.shape[0] == 1 and lo:  # numpy takes a one-row product by gemv, not gemm
-            return (self.a[lo - _BLOCK_ROWS:lo + 1] @ self.bt)[-1:]
-        return rows @ self.bt
+        return rows if self.bt is None else rows @ self.bt
 
     def blocks(self):
         return ((lo, self.block(lo)) for lo in range(0, self.shape[0], _BLOCK_ROWS))
@@ -392,6 +392,7 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
                            edges=edges, nu=float(nu))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf / nan, no warning
 def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, x, xt,
                                  c_n: str) -> np.ndarray:
     """Weighted contrast of pair outer products against cross outer products.

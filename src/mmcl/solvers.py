@@ -57,7 +57,7 @@ def _truncated_fit(mat: np.ndarray, r: int, scale: float):
     Returns (enc, product, top-r singular values, flags); flags holds
     "degenerate-gap" when the r-th singular gap is (near) zero.
     """
-    res = linalg.svd(mat)
+    res = linalg.svd(_finite(mat, "contrast matrix"))
     if r < 1 or r > res.s.shape[0]:
         raise InvalidRank(f"rank {r} not in [1, {res.s.shape[0]}] for shape {mat.shape}")
     s_next = res.s[r] if r < res.s.shape[0] else 0.0
@@ -69,13 +69,23 @@ def _truncated_fit(mat: np.ndarray, r: int, scale: float):
     return enc, product, s_r, flags
 
 
+def _finite(value, stage: str):
+    """value itself, or NonFinite naming stage when it holds an inf or a NaN."""
+    if not np.all(np.isfinite(value)):
+        raise NonFinite(f"{stage} is not finite")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFinite instead
 def _linear_objective(product: np.ndarray, s_mat: np.ndarray, rho: float) -> float:
     """-<product, s_mat> + rho / 2 * ||product||^2, the linear loss in closed form."""
-    return float(-np.sum(product * s_mat) + 0.5 * rho * np.sum(product**2))
+    return _finite(float(-np.sum(product * s_mat) + 0.5 * rho * np.sum(product**2)),
+                   "linear loss")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFinite instead
 def centered_cross_covariance(x, xt) -> np.ndarray:
-    """Sample cross-covariance with the (n - 1) normalizer."""
+    """Sample cross-covariance with the (n - 1) normalizer; NonFinite if it overflows."""
     x = linalg.as_matrix(x, "x")
     xt = linalg.as_matrix(xt, "xt")
     if x.shape[0] != xt.shape[0]:
@@ -86,7 +96,7 @@ def centered_cross_covariance(x, xt) -> np.ndarray:
     xtc = xt - xt.mean(axis=0)
     if not np.any(xc) or not np.any(xtc):
         raise DegenerateData("all samples identical in one modality")
-    return xc.T @ xtc / (x.shape[0] - 1)
+    return _finite(xc.T @ xtc / (x.shape[0] - 1), "centered cross-covariance")
 
 
 def fit_linear_closed_form(data, r: int, rho: float = 1.0) -> FitResult:
@@ -155,7 +165,8 @@ def fit_gradient_descent(
         grad1, grad2 = grad
         if not (np.all(np.isfinite(grad1)) and np.all(np.isfinite(grad2))):
             raise NonFinite(f"gradient not finite at iteration {steps}")
-        gnorm = math.sqrt(float(np.sum(grad1**2) + np.sum(grad2**2)))
+        with np.errstate(over="ignore"):  # an infinite norm is above any tol
+            gnorm = math.sqrt(float(np.sum(grad1**2) + np.sum(grad2**2)))
         if gnorm < tol:
             flags.append("converged")
             break
@@ -200,7 +211,7 @@ def fit_approx_infonce(data, r: int, spec: LossSpec,
     weights = compute_weights(spec, sims)
     s_mat = contrastive_cross_covariance(weights, data.x, data.xt, spec.cn)
     enc, product, s_r, flags = _truncated_fit(s_mat, r, 1.0)
-    final = loss_value(spec, enc, data)
+    final = _finite(loss_value(spec, enc, data), "final loss")
     meta = {
         "singular_values": s_r,
         "beta_diag": weights.beta_diag,
@@ -284,10 +295,11 @@ def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
         "init_flags": anchor_fit.flags,
     }
     return FitResult(enc=enc, product=product, iterations=0,
-                     final_loss=loss_value(spec, enc, paired),
+                     final_loss=_finite(loss_value(spec, enc, paired), "final loss"),
                      trace=None, flags=flags + gap_flags, meta=meta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFinite instead
 def fit_sscl_baseline(
     x,
     r: int,

@@ -68,8 +68,8 @@ def save_matrix(path: str, arr) -> None:
     if arr.ndim != 2:
         raise InvalidInput(f"can only save 2-D arrays, got ndim={arr.ndim}")
     with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in arr:  # a row of Python floats, whose repr is the shortest round trip
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrix(path: str) -> np.ndarray:

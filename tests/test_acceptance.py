@@ -30,7 +30,7 @@ from mmcl.losses import (
 )
 
 
-def report(num: int, ok: bool, detail: str) -> None:
+def report(num: int | str, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
@@ -105,16 +105,20 @@ def test_criterion_2_descent_reaches_scaled_truncated_svd():
     assert elapsed < 30.0
 
 
+# Criterion 3's sweep: sin theta(g1) over n and the wrong-pair fraction p.
+DISTORTION = {
+    "experiment": "distortion",
+    "model": {"d1": 20, "d2": 20, "r": 3, "snr": 2.0, "seed": 0},
+    "seeds": list(range(20)),
+    "sweep": {"n_grid": [250, 500, 1000, 2000, 4000],
+              "p_grid": [0.0, 0.2, 0.6]},
+    "options": {"rho": 1.0},
+}
+
+
 def test_criterion_3_error_rate_scales_as_inverse_sqrt_n(tmp_path):
     start = time.perf_counter()
-    cfg = ExperimentConfig.from_json({
-        "experiment": "distortion",
-        "model": {"d1": 20, "d2": 20, "r": 3, "snr": 2.0, "seed": 0},
-        "seeds": list(range(20)),
-        "sweep": {"n_grid": [250, 500, 1000, 2000, 4000],
-                  "p_grid": [0.0, 0.2, 0.6]},
-        "options": {"rho": 1.0},
-    })
+    cfg = ExperimentConfig.from_json(DISTORTION)
     rows = run_experiment(cfg, out_dir=str(tmp_path))
     med = medians(rows, ("n", "p"), "sin_theta_g1")
     ns = [250, 500, 1000, 2000, 4000]
@@ -132,6 +136,22 @@ def test_criterion_3_error_rate_scales_as_inverse_sqrt_n(tmp_path):
     assert heavier
     assert decreasing
     assert elapsed < 300.0
+
+
+def test_criterion_3b_error_scales_as_inverse_genuine_fraction(tmp_path):
+    # Claim (ii)'s 1/eta shape, eta = 1 - p the genuine-pair fraction: at each
+    # n, sin theta times eta stays near its clean value. The band was fixed
+    # before the test was first run.
+    start = time.perf_counter()
+    rows = run_experiment(ExperimentConfig.from_json(DISTORTION), out_dir=str(tmp_path))
+    med = medians(rows, ("n", "p"), "sin_theta_g1")
+    ratios = {(n, p): med[(n, p)] * (1.0 - p) / med[(n, 0.0)]
+              for n in DISTORTION["sweep"]["n_grid"] for p in (0.2, 0.6)}
+    inside = all(0.8 <= v <= 1.25 for v in ratios.values())
+    report("3b", inside, "sin theta * (1 - p) / clean sin theta in "
+           f"[{min(ratios.values()):.3f}, {max(ratios.values()):.3f}] (band [0.8, 1.25]), "
+           f"{time.perf_counter() - start:.1f}s")
+    assert inside, ratios
 
 
 def test_criterion_4_pool_ratio_sweep_reproduces_orderings(tmp_path):

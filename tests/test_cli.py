@@ -27,6 +27,15 @@ def write_config(tmp_path, name, obj):
     return str(path)
 
 
+def overflow_row(directory):
+    """Row 66 of x.csv and xt.csv all 1e308: finite entries whose products overflow."""
+    for name in ("x.csv", "xt.csv"):
+        path = directory / name
+        rows = path.read_text().splitlines()
+        rows[66] = ",".join(["1e308"] * len(rows[66].split(",")))
+        path.write_text("\n".join(rows) + "\n")
+
+
 def gen_paired(tmp_path, n=40, p=0.0, seed=1, subdir="paired"):
     cfg = write_config(tmp_path, f"{subdir}.json", {
         "kind": "paired", "model": MODEL, "n": n, "p": p, "seed": seed})
@@ -398,17 +407,31 @@ class TestMalformedInputs:
         # reports them on one line, and no numpy warning comes before it.
         data = gen_paired(tmp_path, n=10)
         pool = gen_paired(tmp_path, n=70, subdir="pool")
-        for name in ("x.csv", "xt.csv"):
-            path = tmp_path / "pool" / name
-            rows = path.read_text().splitlines()
-            rows[66] = ",".join(["1e308"] * len(rows[66].split(",")))
-            path.write_text("\n".join(rows) + "\n")
+        overflow_row(tmp_path / "pool")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired", pool,
                                           "--out", str(tmp_path / "fit"), "--r", "1"])
         assert code == CONFIG_EXIT_CODE
         assert err == "error: sims contains non-finite entries\n"
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("fit", [["linear"], ["gd"], ["gd", "--max-iter", "0"],
+                                     ["approx"], ["sscl"], ["semi", "--unpaired", "pool"]],
+                             ids=["linear", "gd", "gd-no-step", "approx", "sscl", "semi"])
+    def test_overflowing_paired_set_exits_3(self, tmp_path, capsys, fit):
+        # Finite paired entries whose products overflow: one line naming the
+        # stage that overflowed, and no numpy warning before it.
+        data = gen_paired(tmp_path, n=70)
+        pool = gen_paired(tmp_path, n=70, subdir="pool")
+        overflow_row(tmp_path / "paired")
+        fit = [pool if arg == "pool" else arg for arg in fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(capsys, ["fit"] + fit + ["--data", data, "--out",
+                                                         str(tmp_path / "fit"), "--r", "1"])
+        assert code == NUMERICAL_EXIT_CODE
+        assert err.startswith("numerical error: ") and "not finite" in err
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("fit", [

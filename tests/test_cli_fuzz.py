@@ -7,10 +7,11 @@ type, NaN, infinities, strings, bools or out-of-range numbers, and runs the
 CLI in-process. Each argument example starts from a valid `fit` or `bsgmp`
 command line and replaces or drops a few numeric flags the same way. Each
 dataset example damages one to three files of a small valid dataset
-directory (dropped lines, ragged rows, bad cells, a BOM, invalid UTF-8, or
-bad meta.json fields) and runs `fit linear`, `fit semi` and `bsgmp` on it.
-Whatever the input, the exit code is 0, 2 or 3, a nonzero exit writes
-exactly one line to stderr, and a fit that exits 0 reports a finite loss.
+directory (dropped lines, ragged rows, bad cells, a BOM, invalid UTF-8, rows
+of finite extremes such as 1e308 or 1e-300, or bad meta.json fields) and runs
+every `fit` method and `bsgmp` on it. Whatever the input, the exit code
+is 0, 2 or 3, a nonzero exit writes exactly one line to stderr, no warning is
+raised, and a fit that exits 0 reports a finite loss.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import os
 import pathlib
 import shutil
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -75,15 +77,21 @@ def mutate(data, cfg: dict, sections: tuple) -> dict:
 
 
 def run_cli(argv):
+    """Exit code, stderr and the warnings raised; under pytest a warning is
+    recorded by its plugin and would not reach the redirected stderr."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), caught
 
 
-def check(code, err, fit_dir=None):
-    """Exit 0, 2 or 3 with one stderr line unless 0; a fit that exits 0 has a finite loss."""
+def check(code, err, caught, fit_dir=None):
+    """Exit 0, 2 or 3 with one stderr line unless 0 and no warning; a fit that
+    exits 0 has a finite loss."""
     assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err
     assert len(err.splitlines()) == (0 if code == 0 else 1)
     if fit_dir and code == 0:
@@ -189,6 +197,8 @@ def test_malformed_bsgmp_arguments_exit_cleanly(inputs, data):
 # example can ask for a large dense table.
 BAD_CELLS = st.sampled_from([b"x", b"nan", b"inf", b"1e309", b"", b"-1", b"1000",
                              b"\xef\xbb\xbf1", b"\xff\xfe"])
+# Finite values whose products overflow, or underflow to zero.
+EXTREMES = st.sampled_from([b"1e300", b"-1e300", b"1e308", b"1e-300"])
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +213,9 @@ def datasets(tmp_path_factory):
 
 
 def mutate_file(data, path):
-    """Drop a line, make a row ragged, or put a bad token in one cell; in
-    meta.json, also replace or delete a field with a value of the wrong type."""
+    """Drop a line, make a row ragged, put a bad token in one cell, or fill a
+    row with one finite extreme; in meta.json, also replace or delete a field
+    with a value of the wrong type."""
     if path.name == "meta.json" and data.draw(st.booleans()):
         meta = json.loads(path.read_text())
         key = data.draw(st.sampled_from(sorted(meta) + ["extra"]))
@@ -217,13 +228,15 @@ def mutate_file(data, path):
         return
     lines = path.read_bytes().split(b"\n")
     i = data.draw(st.integers(0, len(lines) - 1))
-    op = data.draw(st.sampled_from(["drop", "short", "long", "cell"]))
+    op = data.draw(st.sampled_from(["drop", "short", "long", "cell", "extreme"]))
     if op == "drop":
         del lines[i]
     elif op == "short":
         lines[i] = lines[i].rpartition(b",")[0]
     elif op == "long":
         lines[i] += b",1"
+    elif op == "extreme":
+        lines[i] = b",".join([data.draw(EXTREMES)] * len(lines[i].split(b",")))
     else:
         cells = lines[i].split(b",")
         cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(BAD_CELLS)
@@ -245,6 +258,9 @@ def test_malformed_dataset_files_exit_cleanly(datasets, data):
                         else (target, str(datasets / "unpaired")))
         for argv, is_fit in (
                 (["fit", "linear", "--data", target, "--r", "1"], True),
+                (["fit", "gd", "--data", target, "--r", "1", "--max-iter", "20"], True),
+                (["fit", "approx", "--data", target, "--r", "1"], True),
+                (["fit", "sscl", "--data", target, "--r", "1"], True),
                 (["fit", "semi", "--data", paired, "--unpaired", pool, "--r", "1"], True),
                 (["bsgmp", "--edges", os.path.join(target, "edges.csv"), "--k", "2",
                   "--restarts", "1"], False)):

@@ -688,12 +688,19 @@ class TestPoolSimilarity:
     # square and non-square, no side a multiple of the 64-row block (or of 32)
     SHAPES = [(131, 131), (97, 200), (200, 97), (65, 3)]
 
-    @pytest.mark.parametrize("n,m", SHAPES)
-    def test_blocks_are_the_rows_of_the_whole_product(self, n, m):
-        # Holds where the BLAS rounds a block as it rounds the whole product,
-        # as OpenBLAS does at these sizes.
-        src, dense = factored_pool(n * m, n, m)
-        assert np.array_equal(dense, src.a @ src.bt)
+    # SHAPES at rank 5, a one-row last block (n % 64 == 1), and a shape at which
+    # one gemm over all rows would round unlike the row blocks
+    @pytest.mark.parametrize("n,m,r", [pytest.param(n, m, 5, id=f"{n}-{m}") for n, m in SHAPES]
+                             + [(129, 129, 10), (65, 8, 10), (193, 40, 10), (500, 500, 10)])
+    def test_blocks_are_the_rows_of_the_whole_product(self, n, m, r):
+        # similarity_matrix, dense() and the stacked blocks() agree bit for bit.
+        rng = np.random.default_rng(n * m + r)
+        x, xt = rng.standard_normal((n, 7)), rng.standard_normal((m, 6))
+        enc = EncoderPair(g1=rng.standard_normal((r, 7)), g2=rng.standard_normal((r, 6)))
+        src = losses.PoolSimilarity.encode(enc, x, xt)
+        sims = losses.similarity_matrix(enc, x, xt)
+        assert np.array_equal(sims, src.dense())
+        assert np.array_equal(sims, np.concatenate([b for _, b in src.blocks()]))
         assert len(src) == n and src.shape == (n, m)
         assert not hasattr(src, "ndim")  # never counted as a stored table
 
@@ -728,20 +735,9 @@ class TestPoolSimilarity:
         x, xt, enc = random_instance(30, n=150)
         src = losses.PoolSimilarity.encode(enc, x, xt)
         sims = losses.similarity_matrix(enc, x, xt)
-        assert np.abs(src.dense() - sims).max() <= 1e-14 * np.abs(sims).max()
+        assert np.array_equal(src.dense(), sims)
         with pytest.raises(InvalidInput, match="xt contains non-finite"):
             losses.PoolSimilarity.encode(enc, x, np.full_like(xt, np.nan))
-
-    @pytest.mark.parametrize("n,m", [(129, 129), (65, 8), (193, 40)])
-    def test_one_row_last_block_is_rounded_as_in_the_whole_product(self, n, m):
-        # numpy sends a one-row product to gemv; the last row is taken from a
-        # gemm of the last 65 rows, which rounds it as the whole product does.
-        assert n % losses._BLOCK_ROWS == 1
-        rng = np.random.default_rng(n + m)
-        a, bt = rng.standard_normal((n, 10)), rng.standard_normal((10, m))
-        blocks = list(losses.PoolSimilarity(a, bt).blocks())
-        assert blocks[-1][1].shape == (1, m)
-        assert np.array_equal(blocks[-1][1], (a @ bt)[-1:])
 
     def test_overflowing_product_rejected_without_warning(self):
         # Finite factors whose product overflows in one block: the scan names

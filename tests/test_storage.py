@@ -77,6 +77,16 @@ class TestMatrixRoundTrip:
         assert np.array_equal(back, arr)
         assert np.signbit(back[1, 1])
 
+    def test_cells_are_written_as_the_repr_of_each_float(self, tmp_path):
+        # Signed zero, the smallest subnormal, the largest decades and an integral
+        # value, each written as repr(float(v)) writes it.
+        arr = np.array([[-0.0, 5e-324, 1e308, -1e-300], [0.1, -2.0, 1e16, 123456.789]])
+        path = tmp_path / "m.csv"
+        storage.save_matrix(str(path), arr)
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)
+        assert path.read_bytes() == want.encode("utf-8")
+        assert want.startswith("-0.0,5e-324,1e+308,-1e-300\n")
+
     def test_single_row_and_column_shapes(self, tmp_path):
         for arr in (np.ones((1, 4)), np.ones((4, 1))):
             path = tmp_path / "m.csv"
