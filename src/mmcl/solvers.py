@@ -131,14 +131,19 @@ def fit_gradient_descent(
     seed=0,
     init: EncoderPair | None = None,
 ) -> FitResult:
-    """Full-batch gradient descent with backtracking on the step size.
+    """Full-batch gradient descent with two-point step sizes and backtracking.
 
-    A step that does not decrease the loss halves the learning rate and
-    retries, with at most 20 halvings over the whole run. Each candidate
-    is scored and differentiated in one pass over its weight tables, so
-    an accepted step carries the next iteration's gradient. lr = 0
-    returns the initialization unchanged with iterations = max_iter and
-    a no-progress flag.
+    lr is the first step size; after each accepted step s the next is
+    ||s|| / ||y||, y the change in the gradient across s (unchanged when y
+    is 0 or not finite). A step that does not decrease the loss halves the
+    step size and retries, with at most 20 halvings over the whole run.
+    The run stops below tol ("converged"), at a rejection with the budget
+    spent ("step-budget-exhausted", the usual end at the loss's rounding
+    floor), or after max_iter steps; NonFinite if no first step has a
+    finite loss. Each candidate is scored and differentiated in one pass
+    over its weight tables, so an accepted step carries the next
+    iteration's gradient. lr = 0 returns the initialization unchanged
+    with iterations = max_iter and a no-progress flag.
     """
     x = linalg.as_matrix(data.x, "x")
     xt = linalg.as_matrix(data.xt, "xt")
@@ -170,14 +175,22 @@ def fit_gradient_descent(
         if gnorm < tol:
             flags.append("converged")
             break
-        accepted = False
+        accepted = finite_tried = False
         while True:
             cand = EncoderPair(g1=enc.g1 - lr * grad1, g2=enc.g2 - lr * grad2)
             try:
                 cand_loss, cand_grad = _value_and_gradient(spec, cand, x, xt)
             except NonFinite:  # a log aggregate outside its domain
                 cand_loss = math.nan
+            finite_tried = finite_tried or bool(np.isfinite(cand_loss))
             if np.isfinite(cand_loss) and cand_loss <= cur_loss:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ynorm = math.sqrt(float(np.sum((cand_grad[0] - grad1) ** 2)
+                                            + np.sum((cand_grad[1] - grad2) ** 2)))
+                # ||s|| / ||y|| with ||s|| = lr * gnorm; lr stays when y is 0 or not finite
+                bb_step = lr * gnorm / ynorm if ynorm > 0 else math.nan
+                if 0 < bb_step < math.inf:
+                    lr = bb_step
                 enc, cur_loss, grad = cand, cand_loss, cand_grad
                 accepted = True
                 break
@@ -186,6 +199,8 @@ def fit_gradient_descent(
             lr *= 0.5
             halvings += 1
         if not accepted:
+            if steps == 0 and not finite_tried:
+                raise NonFinite("step loss not finite for any step size at iteration 0")
             flags.append("step-budget-exhausted")
             break
         steps += 1

@@ -27,9 +27,9 @@ def write_config(tmp_path, name, obj):
     return str(path)
 
 
-def overflow_row(directory):
-    """Row 66 of x.csv and xt.csv all 1e308: finite entries whose products overflow."""
-    for name in ("x.csv", "xt.csv"):
+def overflow_row(directory, names=("x.csv", "xt.csv")):
+    """Row 66 of each named file all 1e308: finite entries whose products overflow."""
+    for name in names:
         path = directory / name
         rows = path.read_text().splitlines()
         rows[66] = ",".join(["1e308"] * len(rows[66].split(",")))
@@ -432,6 +432,24 @@ class TestMalformedInputs:
                                                          str(tmp_path / "fit"), "--r", "1"])
         assert code == NUMERICAL_EXIT_CODE
         assert err.startswith("numerical error: ") and "not finite" in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("fit", [["gd"], ["gd", "--phi", "log", "--psi", "exp", "--cn", "n"],
+                                     ["semi", "--unpaired", "pool", "--init", "infonce"]],
+                             ids=["gd", "gd-softmax", "semi-infonce"])
+    def test_every_step_overflowing_exits_3(self, tmp_path, capsys, fit):
+        # Row 66 of x.csv alone is 1e308: the initial loss is finite, but the
+        # loss after every step size overflows, so the descent cannot move.
+        data = gen_paired(tmp_path, n=70)
+        pool = gen_paired(tmp_path, n=70, subdir="pool")
+        overflow_row(tmp_path / "paired", names=("x.csv",))
+        fit = [pool if arg == "pool" else arg for arg in fit]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(capsys, ["fit"] + fit + ["--data", data, "--out",
+                                                         str(tmp_path / "fit"), "--r", "1"])
+        assert code == NUMERICAL_EXIT_CODE
+        assert err == "numerical error: step loss not finite for any step size at iteration 0\n"
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("fit", [
