@@ -9,15 +9,15 @@ epsilon=1 gives the CLIP loss; log/exp with epsilon=0 gives InfoNCE.
 Weight tables (alpha, alpha-bar, beta) express any loss in this family as
 a weighted contrast between observed pairs and cross pairs; compute_weights
 builds them densely. The loss value and gradient take a different route to
-the same derivative: softmax losses (psi exp, phi log or log1p) share one
-exponential of sims / tau between the row and the column tables, and the
-other losses, or a similarity spread too wide for one shift, assemble the
-alpha tables into a per-entry weight matrix. An unpaired pool's similarity
-is never stored: PoolSimilarity keeps its two rank-r factors and rebuilds row
-blocks, once for an extrema scan that the edge estimator and the weights share
-and once for the contrast, which takes one exponential per pool entry; a pool
-too spread for one shift takes two in the same pass, one shifted per row and
-one per column.
+the same derivative: softmax losses (psi exp, phi log or log1p) take both
+log-sum-exps and the contrast from one _softmax_sums pass over sims / tau,
+and the other losses assemble the alpha tables into a per-entry weight
+matrix. An unpaired pool's similarity is never stored: PoolSimilarity keeps
+its two rank-r factors and rebuilds row blocks, once for an extrema scan that
+the edge estimator and the weights share and once for the contrast, which
+streams them through the same _softmax_sums. That kernel takes one
+exponential per entry, or two, one shifted per row and one per column, for a
+table too spread for one shift.
 """
 
 import numbers
@@ -413,35 +413,48 @@ def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, 
         mixed = weights.beta_diag[:, None] * xt - weights.beta_off @ xt
         return (x.T @ mixed) / cn
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
-    return (weights.nu * pair_term - _pool_softmax_term(weights, x, xt)) / cn
+    blocks = ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
+    (_, row_sum, right), (_, col_sum, left) = _softmax_sums(
+        blocks, weights.row_max, weights.col_max, x, xt)
+    pool = 0.5 * (x.T @ (right / row_sum[:, None]) + left @ (xt / col_sum[:, None]))
+    return (weights.nu * pair_term - pool) / cn
 
 
-def _pool_softmax_term(w: UnpairedWeights, x: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """x.T @ table @ xt of an unpaired pool from one pass over the row blocks of
-    sims / tau. It sums E @ [xt | 1] (E xt, row sums R) and [x | 1].T @ F (x.T F,
-    column sums C) into 0.5 (x.T (E xt / R) + (x.T F)(xt / C)). If c = max(sims /
-    tau) is finite and every row and column maximum of sims / tau is within
-    _SHARED_RANGE of it, E = F = exp(sims / tau - c), one exponential per entry.
-    Otherwise E is shifted by each row's maximum and F by each column's, so every
-    R and C is at least 1 at any range."""
-    c = np.max(w.row_max)
-    shared = np.isfinite(c) and min(np.min(w.row_max), np.min(w.col_max)) >= c - _SHARED_RANGE
-    x1, xt1 = (np.pad(a, ((0, 0), (0, 1)), constant_values=1.0) for a in (x, xt))
-    right, left = np.empty((x.shape[0], xt1.shape[1])), np.zeros((x1.shape[1], xt.shape[0]))
-    for lo, block in w.sims.blocks():
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        e = block / w.tau
-        f = e if shared else np.exp(e - w.col_max)  # taken before e is overwritten
-        np.exp(np.subtract(e, c if shared else w.row_max[rows, None], out=e), out=e)
-        right[rows] = e @ xt1
-        left += x1[rows].T @ f
-    return 0.5 * (x.T @ (right[:, :-1] / right[:, -1:]) + left[:-1] @ (xt / left[-1][:, None]))
+def _softmax_sums(blocks, row_max, col_max, x=None, xt=None):
+    """Row sums of E and column sums of F, and E @ xt and x.T @ F when x and xt
+    are given, from one pass over the (lo, block) row blocks of a score table z,
+    each block overwritten; row_max and col_max are z's row and column maxima.
+
+    If c = max(z) is finite and every row and column maximum lies within
+    _SHARED_RANGE of it, E = F = exp(z - c), one exponential per entry.
+    Otherwise E = exp(z - row max) and F = exp(z - column max), so every sum is
+    at least 1 at any range. Returns (row shift, E @ 1, E @ xt) and (column
+    shift, 1 @ F, x.T @ F): log (E @ 1)_i + row shift_i is the log-sum-exp of
+    z's row i, and so for columns.
+    """
+    c = np.max(row_max)
+    shared = np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
+    n, m = len(row_max), len(col_max)
+    ones = np.ones(max(n, m))
+    row_sum, col_sum, right, left = np.empty(n), np.zeros(m), None, None
+    if x is not None:
+        right, left = np.empty((n, xt.shape[1])), np.zeros((x.shape[1], m))
+    for lo, e in blocks:
+        rows = slice(lo, lo + e.shape[0])
+        f = e if shared else np.exp(e - col_max)  # taken before e is overwritten
+        np.exp(np.subtract(e, c if shared else row_max[rows, None], out=e), out=e)
+        row_sum[rows] = e @ ones[:m]
+        col_sum += ones[:e.shape[0]] @ f
+        if x is not None:
+            right[rows] = e @ xt
+            left += x[rows].T @ f
+    return (c if shared else row_max, row_sum, right), (c if shared else col_max, col_sum, left)
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     """Gradients of loss_value with respect to g1 and g2.
 
-    Softmax losses take both alpha tables from one shared exponential of
+    Softmax losses take both alpha tables from one _softmax_sums pass over
     sims / tau; other losses assemble them into a per-entry weight matrix on
     the similarity derivatives. Either way this is a route independent of
     the dense beta tables of compute_weights; the two agree analytically.
@@ -449,57 +462,40 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     return _value_and_gradient(spec, enc, *_data_arrays(data))[1]
 
 
-def _shared_softmax(spec: LossSpec, sims: np.ndarray, xt: np.ndarray, cn: float,
-                    want_gradient: bool):
-    """Row and column totals and W @ xt of a log / log1p softmax loss from one
-    exponential E = exp(sims / tau - c), c the maximum of sims / tau; sims
-    becomes E.
+def _softmax_route(spec: LossSpec, sims: np.ndarray, x: np.ndarray, xt: np.ndarray,
+                   cn: float, want_gradient: bool):
+    """Row and column totals and the contrast p = x.T W xt of a log / log1p
+    softmax loss from one _softmax_sums pass over z = sims / tau, log epsilon
+    added on its diagonal; sims becomes E.
 
-    The row-anchored table is E_ij exp(c - nu s_ii / tau) and the column-anchored
-    one E_ij exp(c - nu s_jj / tau), so both log-sum-exps come from the row and
-    column sums of E, and the weight matrix W times xt from one product of E with
-    xt and a row-scaled xt side by side. Returns None, with sims untouched, unless c is finite and every
-    row's and column's off-diagonal maximum of sims / tau lies within
-    _SHARED_RANGE of c, which keeps every row and column sum a normal number.
+    Row i's anchored log-sum-exp L is z's less nu z_ii, and so for column i.
+    The row-anchored alpha table is a E with a = exp(L - agg) / (E @ 1), and the
+    transposed column-anchored one F b likewise, so with R = E @ 1, C = 1 @ F
+    p = ((a x).T E xt + x.T F (b xt) - x.T (nu (a R + b C) xt)) / 2cn.
     """
-    diag = np.diag(sims).copy()
-    np.fill_diagonal(sims, -np.inf)
-    row_max, col_max = np.max(sims, axis=1), np.max(sims, axis=0)
-    np.fill_diagonal(sims, diag)
-    diag /= spec.tau
-    c = max(np.max(row_max) / spec.tau, np.max(diag))  # max(s) / tau == max(s / tau)
-    offset = c - spec.nu * diag  # log of the rank-one factor of row and column i
-    lowest = min(np.min(row_max), np.min(col_max)) / spec.tau
-    if not (np.isfinite(c) and lowest >= c - _SHARED_RANGE and np.all(np.isfinite(offset))):
-        return None
     sims /= spec.tau
-    sims -= c
-    e = np.exp(sims, out=sims)
-    np.einsum("ii->i", e)[...] *= spec.epsilon
-    row_sum, col_sum = np.sum(e, axis=1), np.sum(e, axis=0)
-    row_lse, col_lse = np.log(row_sum) + offset, np.log(col_sum) + offset
-    if spec.phi == "log1p":
-        row_agg, col_agg = np.logaddexp(0.0, row_lse), np.logaddexp(0.0, col_lse)
-    else:
-        row_agg, col_agg = row_lse, col_lse
-    totals = spec.tau * row_agg, spec.tau * col_agg
+    anchor = spec.nu * np.diag(sims)
+    np.einsum("ii->i", sims)[...] += np.log(spec.epsilon)
+    sides = _softmax_sums([(0, sims)], np.max(sims, axis=1), np.max(sims, axis=0),
+                          *((x, xt) if want_gradient else ()))
+    totals, scales = [], []
+    for shift, total, _ in sides:
+        lse = np.log(total) + (shift - anchor)
+        agg = np.logaddexp(0.0, lse) if spec.phi == "log1p" else lse
+        totals.append(spec.tau * agg)
+        scales.append(np.exp(lse - agg) / total)
     if not want_gradient:
         return *totals, None
-    # alpha = a[:, None] * E and the transposed alpha-bar = E * b[None, :]
-    a = np.exp(row_lse - row_agg) / row_sum
-    b = np.exp(col_lse - col_agg) / col_sum
-    d = xt.shape[1]
-    y = e @ np.hstack([xt, b[:, None] * xt])
-    wxt = a[:, None] * y[:, :d] + y[:, d:]
-    wxt -= (spec.nu * (a * row_sum + b * col_sum))[:, None] * xt
-    wxt /= 2.0 * cn
-    return *totals, wxt
+    (a, b), ((_, row_sum, right), (_, col_sum, left)) = scales, sides
+    diag = spec.nu * (a * row_sum + b * col_sum)
+    p = (a[:, None] * x).T @ right + left @ (b[:, None] * xt) - x.T @ (diag[:, None] * xt)
+    return *totals, p / (2.0 * cn)
 
 
-def _anchored_route(spec: LossSpec, sims: np.ndarray, xt: np.ndarray, cn: float,
-                    want_gradient: bool):
-    """Row and column totals and W @ xt of any loss from its two anchored
-    alpha tables, assembled into the per-entry weight matrix W."""
+def _anchored_route(spec: LossSpec, sims: np.ndarray, x: np.ndarray, xt: np.ndarray,
+                    cn: float, want_gradient: bool):
+    """Row and column totals and the contrast p = x.T W xt of any loss from its
+    two anchored alpha tables, assembled into the per-entry weight matrix W."""
     (row_totals, w), (col_totals, alpha_bar_t) = _anchored(spec, sims, want_gradient)
     if not want_gradient:
         return row_totals, col_totals, None
@@ -508,7 +504,7 @@ def _anchored_route(spec: LossSpec, sims: np.ndarray, xt: np.ndarray, cn: float,
     w += alpha_bar_t
     w /= 2.0 * cn
     np.fill_diagonal(w, diag_w)
-    return row_totals, col_totals, w @ xt
+    return row_totals, col_totals, x.T @ (w @ xt)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
@@ -521,18 +517,13 @@ def _value_and_gradient(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.
     if sims.shape[0] != sims.shape[1]:
         raise InvalidInput("paired loss needs equally many samples per modality")
     cn = c_n_value(spec.cn, sims.shape[0])
-    totals = None
-    if spec.psi == "exp" and spec.phi != "identity":
-        totals = _shared_softmax(spec, sims, xt, cn, want_gradient)
-    if totals is None:
-        totals = _anchored_route(spec, sims, xt, cn, want_gradient)
-    row_totals, col_totals, wxt = totals
+    route = _softmax_route if spec.psi == "exp" and spec.phi != "identity" else _anchored_route
+    row_totals, col_totals, p = route(spec, sims, x, xt, cn, want_gradient)
     contrast = np.sum(row_totals) + np.sum(col_totals)
     ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
     value = float(contrast / (2.0 * cn) + ridge)
     if not want_gradient:
         return value, None
-    p = x.T @ wxt
     grad_g1 = enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1
     grad_g2 = enc.g1 @ p + spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2
     return value, (grad_g1, grad_g2)

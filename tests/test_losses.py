@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmcl import losses
+from mmcl import losses, solvers
 from mmcl.errors import InvalidInput, NonFinite
 from mmcl.losses import ContrastiveWeights, EncoderPair, LossSpec
 
@@ -749,6 +749,16 @@ class TestPoolSimilarity:
             with pytest.raises(InvalidInput, match="sims contains non-finite"):
                 losses.unpaired_weights(src, 0.5, 2.0, [[0, 0]])
 
+    def test_dense_table_left_unchanged(self):
+        # The softmax kernel overwrites the blocks it is handed; the blocks of a
+        # dense table are views of the caller's array, so those it gets are copies.
+        x, xt, sims, _ = pool_instance(55, n=150, m=150)
+        kept = sims.copy()
+        edges = solvers.estimate_edges(sims).edges
+        w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
+        losses.contrastive_cross_covariance(w, x, xt, "n")
+        assert np.array_equal(sims, kept)
+
     def test_scan_is_shared_and_taken_once(self, monkeypatch):
         src, _ = factored_pool(32, 131, 97)
         built = []
@@ -843,20 +853,10 @@ def dense_oracle(spec, enc, x, xt):
     return value, contrast, ridge
 
 
-def anchored_pass(spec, enc, x, xt):
-    """Value and gradient of one pass taken by the anchored route on a fresh sims."""
-    sims = losses.similarity_matrix(enc, x, xt)
-    cn = losses.c_n_value(spec.cn, x.shape[0])
-    row, col, wxt = losses._anchored_route(spec, sims, xt, cn, True)
-    ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
-    value = float((np.sum(row) + np.sum(col)) / (2.0 * cn) + ridge)
-    p = x.T @ wxt
-    return value, (enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1,
-                   enc.g1 @ p + spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2)
-
-
 class TestSharedExponential:
-    """Softmax losses take both tables from one exp(sims / tau - c)."""
+    """Softmax losses take both tables from one _softmax_sums pass: one
+    exp(sims / tau - c) per entry, or two, shifted per row and per column, when
+    the table is too spread for one shift."""
 
     @pytest.mark.parametrize("phi", ["log", "log1p"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
@@ -864,23 +864,31 @@ class TestSharedExponential:
     @pytest.mark.parametrize("cn", ["n", "n(n-1)"])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])
     def test_matches_dense_oracle(self, monkeypatch, phi, epsilon, nu, cn, tau):
-        x, xt, enc = random_instance(7, n=12, d1=5, d2=4, r=3)
+        # Each case runs in the shared regime and again with the two-shift
+        # regime forced.
+        n = 12
+        x, xt, enc = random_instance(7, n=n, d1=5, d2=4, r=3)
         enc = EncoderPair(g1=0.3 * enc.g1, g2=0.3 * enc.g2)
         spec = LossSpec(phi=phi, psi="exp", epsilon=epsilon, nu=nu, tau=tau, cn=cn, rho=0.6)
         value, contrast, ridge = dense_oracle(spec, enc, x, xt)
         calls = count_calls(monkeypatch, losses, "_anchored")
-        got = losses.loss_value(spec, enc, (x, xt))
-        grads = losses.loss_gradient(spec, enc, (x, xt))
-        assert calls == []  # neither pass took the anchored route
-        assert abs(got - value) <= 1e-12 * abs(value)
-        for grad, c, r in zip(grads, contrast, ridge):
-            scale = max(np.abs(c).max(), np.abs(r).max())
-            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+        for per_entry, shared_range in ((1, losses._SHARED_RANGE), (2, -np.inf)):
+            monkeypatch.setattr(losses, "_SHARED_RANGE", shared_range)
+            sizes = exp_entries(monkeypatch)
+            got = losses.loss_value(spec, enc, (x, xt))
+            same, grads = losses._value_and_gradient(spec, enc, x, xt)
+            assert sizes.count(n * n) == 2 * per_entry  # two passes
+            assert got == same  # the value pass and the gradient pass agree bit for bit
+            assert abs(got - value) <= 1e-12 * abs(value)
+            for grad, c, r in zip(grads, contrast, ridge):
+                scale = max(np.abs(c).max(), np.abs(r).max())
+                assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+        assert calls == []  # no pass took the anchored route
 
     @pytest.mark.parametrize("far", ["scaled-sample", "row", "column"])
-    def test_far_row_or_column_takes_the_anchored_route_exactly(self, monkeypatch, far):
-        # Each case puts the off-diagonal maximum of a row or a column of
-        # sims / tau far below the shared exponential's shift c.
+    def test_far_row_or_column_matches_dense_oracle(self, monkeypatch, far):
+        # Each case puts the maximum of a row or a column of sims / tau far
+        # below the table's maximum, out of one shared exponential's range.
         x, xt, enc = random_instance(31, n=10, d1=3, d2=3)
         spec = LossSpec.clip(tau=0.01)
         if far == "scaled-sample":
@@ -894,16 +902,18 @@ class TestSharedExponential:
             x[:, 0] = np.abs(x[:, 0]) + 1.0
             xt[:, 0] = np.abs(xt[:, 0]) + 1.0
             (x if far == "row" else xt)[0] = [-1e3, 0.0, 0.0]
-        want_value, want_grads = anchored_pass(spec, enc, x, xt)
+        want, contrast, ridge = dense_oracle(spec, enc, x, xt)
         calls = count_calls(monkeypatch, losses, "_anchored")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = losses.loss_value(spec, enc, (x, xt))
             grads = losses.loss_gradient(spec, enc, (x, xt))
-        assert len(calls) == 2
-        assert value == want_value and np.isfinite(value)
-        for grad, want in zip(grads, want_grads):
-            assert np.array_equal(grad, want) and np.all(np.isfinite(grad))
+        assert calls == []
+        assert np.isfinite(value) and abs(value - want) <= 1e-12 * abs(want)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.all(np.isfinite(grad))
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
 
     def test_peak_memory_holds_one_table(self, monkeypatch):
         # E overwrites the similarity matrix; beside it only n x 2d arrays.

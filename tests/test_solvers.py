@@ -311,8 +311,8 @@ class TestOnePassDescent:
     @pytest.mark.parametrize("tau", [0.5, 1e-6])
     def test_one_similarity_matrix_per_softmax_candidate(self, monkeypatch, tau):
         # At tau 1e-6 the rows of sims / tau spread far beyond the shared
-        # exponential's range in the first 8 steps, so every pass takes the
-        # anchored route.
+        # exponential's range in the first 8 steps; no pass at either tau
+        # takes the anchored route.
         data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
                                      seed=3)
         spec = LossSpec.clip(tau=tau)
@@ -323,9 +323,9 @@ class TestOnePassDescent:
         fit = solvers.fit_gradient_descent(spec, data, 2, **kwargs)
         assert fit.iterations > 0
         assert len(sims_calls) == fit.iterations + halvings + 2
-        assert len(anchored_calls) == (len(sims_calls) if tau < 1e-3 else 0)
+        assert anchored_calls == []
 
-    def test_fallback_descent_equals_anchored_route(self, monkeypatch):
+    def test_spread_descent_equals_forced_two_shift_descent(self, monkeypatch):
         data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
                                      seed=3)
         spec = LossSpec.clip(tau=1e-6)
