@@ -176,17 +176,6 @@ def _krylov_leading(m, count: int):
         if j == KRYLOV_DEPTH or np.linalg.norm(fresh) <= KRYLOV_TOL * scale:
             vecs, resid = _ritz(done, image[:, :j * b], count)
             return vecs if resid <= KRYLOV_TOL else None
-        # give up early where the residual falls too slowly to pass by the last
-        # block; convergence speeds up as the basis grows, so the rate of blocks
-        # 4-6 carried on to block 16, r6 * (r6 / r4)**5, may overshoot 100-fold
-        if j == 4:
-            r4 = _ritz(done, image[:, :j * b], count)[1]
-            if r4 > 4e-3:
-                return None
-        if j == 6:
-            r6 = _ritz(done, image[:, :j * b], count)[1]
-            if r6 ** 6 > 100 * KRYLOV_TOL * r4 ** 5:
-                return None
         block = np.linalg.qr(fresh)[0]
         block = np.linalg.qr(block - done @ (done.T @ block))[0]
 

@@ -8,16 +8,16 @@ epsilon=1 gives the CLIP loss; log/exp with epsilon=0 gives InfoNCE.
 
 Weight tables (alpha, alpha-bar, beta) express any loss in this family as
 a weighted contrast between observed pairs and cross pairs; compute_weights
-builds them densely. The loss value and gradient take a different route to
-the same derivative: softmax losses (psi exp, phi log or log1p) take both
-log-sum-exps and the contrast from one _softmax_sums pass over sims / tau,
-and the other losses assemble the alpha tables into a per-entry weight
-matrix. An unpaired pool's similarity is never stored: PoolSimilarity keeps
-its two rank-r factors and rebuilds row blocks, once for an extrema scan that
-the edge estimator and the weights share and once for the contrast, which
-streams them through the same _softmax_sums. That kernel takes one
-exponential per entry, or two, one shifted per row and one per column, for a
-table too spread for one shift.
+builds them densely, as an oracle only. The loss value and gradient take
+another route to the same derivative, one _paired_pass for every spec: row i
+of an alpha table is a scale times a fixed table E, exp(sims / tau - shift)
+from one _softmax_sums pass for psi exp, and 1 off the diagonal with epsilon
+on it, never built, for psi identity. An unpaired pool's similarity is never
+stored: PoolSimilarity keeps its two rank-r factors and rebuilds row blocks,
+once for an extrema scan that the edge estimator and the weights share and
+once for the contrast, which streams them through the same _softmax_sums.
+That kernel takes one exponential per entry, or two, one shifted per row and
+one per column, for a table too spread for one shift.
 """
 
 import numbers
@@ -454,74 +454,78 @@ def _softmax_sums(blocks, row_max, col_max, x=None, xt=None):
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     """Gradients of loss_value with respect to g1 and g2.
 
-    Softmax losses take both alpha tables from one _softmax_sums pass over
-    sims / tau; other losses assemble them into a per-entry weight matrix on
-    the similarity derivatives. Either way this is a route independent of
-    the dense beta tables of compute_weights; the two agree analytically.
+    Both come from the contrast p = x.T W xt of one _paired_pass over the
+    similarity matrix, a route independent of the dense beta tables of
+    compute_weights; the two agree analytically.
     """
     return _value_and_gradient(spec, enc, *_data_arrays(data))[1]
 
 
-def _softmax_route(spec: LossSpec, sims: np.ndarray, x: np.ndarray, xt: np.ndarray,
-                   cn: float, want_gradient: bool):
-    """Row and column totals and the contrast p = x.T W xt of a log / log1p
-    softmax loss from one _softmax_sums pass over z = sims / tau, log epsilon
-    added on its diagonal; sims becomes E.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
+def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
+                 want_gradient: bool):
+    """(loss without its ridge, contrast p = x.T W xt or None) from one
+    similarity matrix; x and xt are validated 2-D arrays. With want_gradient
+    a log aggregate outside its domain raises NonFinite.
 
-    Row i's anchored log-sum-exp L is z's less nu z_ii, and so for column i.
-    The row-anchored alpha table is a E with a = exp(L - agg) / (E @ 1), and the
-    transposed column-anchored one F b likewise, so with R = E @ 1, C = 1 @ F
-    p = ((a x).T E xt + x.T F (b xt) - x.T (nu (a R + b C) xt)) / 2cn.
+    The row-anchored alpha table is a_i E_ij and the transposed column one
+    E_ij b_j: for psi exp E = exp(sims / tau - shift), log epsilon added on its
+    diagonal, from one _softmax_sums pass (sims becomes E); for psi identity E
+    is 1 off the diagonal and epsilon on it, so E xt = 1 (1 @ xt) - (1 - eps) xt
+    and the aggregates are anchored row and column sums of sims. With R = E @ 1
+    and C = 1 @ E, p = ((a x).T E xt + x.T E (b xt) - x.T (nu (a R + b C) xt)) / 2cn.
     """
-    sims /= spec.tau
-    anchor = spec.nu * np.diag(sims)
-    np.einsum("ii->i", sims)[...] += np.log(spec.epsilon)
-    sides = _softmax_sums([(0, sims)], np.max(sims, axis=1), np.max(sims, axis=0),
-                          *((x, xt) if want_gradient else ()))
+    sims = similarity_matrix(enc, x, xt)
+    n = sims.shape[0]
+    if n != sims.shape[1]:
+        raise InvalidInput("paired loss needs equally many samples per modality")
+    cn = c_n_value(spec.cn, n)
     totals, scales = [], []
-    for shift, total, _ in sides:
-        lse = np.log(total) + (shift - anchor)
-        agg = np.logaddexp(0.0, lse) if spec.phi == "log1p" else lse
-        totals.append(spec.tau * agg)
-        scales.append(np.exp(lse - agg) / total)
+    if spec.psi == "exp":
+        sims /= spec.tau
+        anchor = spec.nu * np.diag(sims)
+        np.einsum("ii->i", sims)[...] += np.log(spec.epsilon)
+        sides = _softmax_sums([(0, sims)], np.max(sims, axis=1), np.max(sims, axis=0),
+                              *((x, xt) if want_gradient else ()))
+        for shift, total, _ in sides:
+            lse = np.log(total) + (shift - anchor)
+            if spec.phi == "identity":  # the aggregate itself, e^lse
+                totals.append(np.exp(lse))
+                scales.append(totals[-1] / (spec.tau * total))
+                continue
+            agg = np.logaddexp(0.0, lse) if spec.phi == "log1p" else lse
+            totals.append(spec.tau * agg)
+            scales.append(np.exp(lse - agg) / total)
+    else:
+        eps = spec.epsilon
+        anchor = (1.0 - eps + spec.nu * (n - 1 + eps)) * np.diag(sims)
+        for agg in (np.sum(sims, axis=1) - anchor, np.sum(sims, axis=0) - anchor):
+            arg = 1.0 + agg if spec.phi == "log1p" else agg
+            if want_gradient and spec.phi != "identity" and np.any(arg <= 0):
+                raise NonFinite("log of a nonpositive aggregate" if spec.phi == "log"
+                                else "log1p of an aggregate at or below -1")
+            totals.append(agg if spec.phi == "identity" else
+                          spec.tau * (np.log(agg) if spec.phi == "log" else np.log1p(agg)))
+            scales.append(np.ones(n) if spec.phi == "identity" else spec.tau / arg)
+        sides = ((None, np.full(n, n - 1 + eps), np.sum(xt, axis=0) - (1.0 - eps) * xt),
+                 (None, np.full(n, n - 1 + eps), np.sum(x, axis=0)[:, None] - (1.0 - eps) * x.T))
+    loss = (np.sum(totals[0]) + np.sum(totals[1])) / (2.0 * cn)
     if not want_gradient:
-        return *totals, None
+        return loss, None
     (a, b), ((_, row_sum, right), (_, col_sum, left)) = scales, sides
     diag = spec.nu * (a * row_sum + b * col_sum)
     p = (a[:, None] * x).T @ right + left @ (b[:, None] * xt) - x.T @ (diag[:, None] * xt)
-    return *totals, p / (2.0 * cn)
-
-
-def _anchored_route(spec: LossSpec, sims: np.ndarray, x: np.ndarray, xt: np.ndarray,
-                    cn: float, want_gradient: bool):
-    """Row and column totals and the contrast p = x.T W xt of any loss from its
-    two anchored alpha tables, assembled into the per-entry weight matrix W."""
-    (row_totals, w), (col_totals, alpha_bar_t) = _anchored(spec, sims, want_gradient)
-    if not want_gradient:
-        return row_totals, col_totals, None
-    tot = np.sum(w, axis=1) + np.sum(alpha_bar_t, axis=0)
-    diag_w = (np.diag(w) + np.diag(alpha_bar_t) - spec.nu * tot) / (2.0 * cn)
-    w += alpha_bar_t
-    w /= 2.0 * cn
-    np.fill_diagonal(w, diag_w)
-    return row_totals, col_totals, x.T @ (w @ xt)
+    return loss, p / (2.0 * cn)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
 def _value_and_gradient(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
                         want_gradient: bool = True):
-    """(loss_value, loss_gradient or None) from one similarity matrix and one
-    pass over it; x and xt are validated 2-D arrays. With want_gradient a log
-    aggregate outside its domain raises NonFinite."""
-    sims = similarity_matrix(enc, x, xt)
-    if sims.shape[0] != sims.shape[1]:
-        raise InvalidInput("paired loss needs equally many samples per modality")
-    cn = c_n_value(spec.cn, sims.shape[0])
-    route = _softmax_route if spec.psi == "exp" and spec.phi != "identity" else _anchored_route
-    row_totals, col_totals, p = route(spec, sims, x, xt, cn, want_gradient)
-    contrast = np.sum(row_totals) + np.sum(col_totals)
+    """(loss_value, loss_gradient or None) from one _paired_pass; x and xt are
+    validated 2-D arrays."""
+    loss, p = _paired_pass(spec, enc, x, xt, want_gradient)
     ridge = 0.5 * spec.rho * float(np.sum(enc.product ** 2))
-    value = float(contrast / (2.0 * cn) + ridge)
+    value = float(loss + ridge)
     if not want_gradient:
         return value, None
     grad_g1 = enc.g2 @ p.T + spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1

@@ -18,12 +18,11 @@ from .losses import (
     EncoderPair,
     LossSpec,
     PoolSimilarity,
+    _paired_pass,
     _value_and_gradient,
-    compute_weights,
     contrastive_cross_covariance,
     loss_gradient,
     loss_value,
-    similarity_matrix,
     unpaired_weights,
 )
 
@@ -213,27 +212,22 @@ def fit_approx_infonce(data, r: int, spec: LossSpec,
                        init: EncoderPair | None = None) -> FitResult:
     """One-shot surrogate for a softmax-family loss.
 
-    Freezes the beta weight tables at the initialization (the linear
-    closed form when none is given), forms the weighted contrast matrix,
-    and returns its truncated SVD as the product (no 1 / rho scaling; the
-    ridge is not part of the frozen-weight objective).
+    Freezes the loss's weights at the initialization (the linear closed
+    form when none is given), where the weighted contrast matrix is minus
+    the contrast p of the loss gradient's _paired_pass, and returns its
+    truncated SVD as the product (no 1 / rho scaling; the ridge is not part
+    of the frozen-weight objective).
     """
     if spec.psi != "exp" or spec.phi not in ("log", "log1p"):
         raise InvalidInput("frozen-weight surrogate needs a softmax-family loss")
     if init is None:
         init = fit_linear_closed_form(data, r, spec.rho).enc
-    sims = similarity_matrix(init, data.x, data.xt)
-    weights = compute_weights(spec, sims)
-    s_mat = contrastive_cross_covariance(weights, data.x, data.xt, spec.cn)
+    x, xt = linalg.as_matrix(data.x, "x"), linalg.as_matrix(data.xt, "xt")
+    s_mat = -_paired_pass(spec, init, x, xt, want_gradient=True)[1]
     enc, product, s_r, flags = _truncated_fit(s_mat, r, 1.0)
     final = _finite(loss_value(spec, enc, data), "final loss")
-    meta = {
-        "singular_values": s_r,
-        "beta_diag": weights.beta_diag,
-        "beta_off": weights.beta_off,
-    }
     return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
-                     trace=None, flags=flags, meta=meta)
+                     trace=None, flags=flags, meta={"singular_values": s_r})
 
 
 @dataclass(frozen=True)

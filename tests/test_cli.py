@@ -27,12 +27,12 @@ def write_config(tmp_path, name, obj):
     return str(path)
 
 
-def overflow_row(directory, names=("x.csv", "xt.csv")):
-    """Row 66 of each named file all 1e308: finite entries whose products overflow."""
+def overflow_row(directory, names=("x.csv", "xt.csv"), value="1e308"):
+    """Row 66 of each named file all value: finite entries whose products overflow."""
     for name in names:
         path = directory / name
         rows = path.read_text().splitlines()
-        rows[66] = ",".join(["1e308"] * len(rows[66].split(",")))
+        rows[66] = ",".join([value] * len(rows[66].split(",")))
         path.write_text("\n".join(rows) + "\n")
 
 
@@ -434,24 +434,26 @@ class TestMalformedInputs:
         assert err.startswith("numerical error: ") and "not finite" in err
         assert not (tmp_path / "fit").exists()
 
-    @pytest.mark.parametrize("fit", [["gd"], ["gd", "--phi", "log", "--psi", "exp", "--cn", "n"],
-                                     ["semi", "--unpaired", "pool", "--init", "infonce"]],
-                             ids=["gd", "gd-softmax", "semi-infonce"])
-    def test_every_step_overflowing_exits_3(self, tmp_path, capsys, fit):
-        # Row 66 of x.csv alone is 1e308: the initial loss is finite, but the
-        # loss after every step size overflows, so the descent cannot move.
-        # The softmax losses already find the first gradient not finite.
+    @pytest.mark.parametrize("fit,value,stage", [
+        (["gd"], "1e308", "gradient not finite"),
+        (["gd"], "1e300", "step loss not finite for any step size"),
+        (["gd", "--phi", "log", "--psi", "exp", "--cn", "n"], "1e308", "gradient not finite"),
+        (["semi", "--unpaired", "pool", "--init", "infonce"], "1e308", "gradient not finite")],
+        ids=["gd", "gd-1e300", "gd-softmax", "semi-infonce"])
+    def test_every_step_overflowing_exits_3(self, tmp_path, capsys, fit, value, stage):
+        # Row 66 of x.csv alone is 1e308 or 1e300: the initial loss is
+        # finite. At 1e308 the first gradient already overflows. At 1e300 it
+        # is finite, but the linear loss after every step size overflows, so
+        # the descent cannot move.
         data = gen_paired(tmp_path, n=70)
         pool = gen_paired(tmp_path, n=70, subdir="pool")
-        overflow_row(tmp_path / "paired", names=("x.csv",))
+        overflow_row(tmp_path / "paired", names=("x.csv",), value=value)
         fit = [pool if arg == "pool" else arg for arg in fit]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, err = self.run(capsys, ["fit"] + fit + ["--data", data, "--out",
                                                          str(tmp_path / "fit"), "--r", "1"])
         assert code == NUMERICAL_EXIT_CODE
-        stage = ("step loss not finite for any step size" if fit == ["gd"]
-                 else "gradient not finite")
         assert err == f"numerical error: {stage} at iteration 0\n"
         assert not (tmp_path / "fit").exists()
 

@@ -854,11 +854,12 @@ def dense_oracle(spec, enc, x, xt):
 
 
 class TestSharedExponential:
-    """Softmax losses take both tables from one _softmax_sums pass: one
+    """Every paired loss takes its value and contrast from one _paired_pass.
+    psi-exp losses take both tables from one _softmax_sums pass: one
     exp(sims / tau - c) per entry, or two, shifted per row and per column, when
-    the table is too spread for one shift."""
+    the table is too spread for one shift. psi-identity losses take none."""
 
-    @pytest.mark.parametrize("phi", ["log", "log1p"])
+    @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     @pytest.mark.parametrize("cn", ["n", "n(n-1)"])
@@ -884,6 +885,36 @@ class TestSharedExponential:
                 scale = max(np.abs(c).max(), np.abs(r).max())
                 assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
         assert calls == []  # no pass took the anchored route
+
+    @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    @pytest.mark.parametrize("cn", ["n", "n(n-1)"])
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_psi_identity_matches_dense_oracle(self, monkeypatch, phi, epsilon, nu, cn, tau):
+        # Unit-norm rows seen twice, scored by g1 = q and g2 = -q for an
+        # orthogonal q: s_ij - nu s_ii = nu - <x_i, x_j> >= 0, so every
+        # aggregate is positive and inside the domain of log and log1p.
+        n = 12
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        enc = EncoderPair(g1=q, g2=-q)
+        spec = LossSpec(phi=phi, psi="identity", epsilon=epsilon, nu=nu, tau=tau, cn=cn,
+                        rho=0.6)
+        value, contrast, ridge = dense_oracle(spec, enc, x, x.copy())
+        calls = count_calls(monkeypatch, losses, "_anchored")
+        sizes = exp_entries(monkeypatch)
+        got = losses.loss_value(spec, enc, (x, x.copy()))
+        same, grads = losses._value_and_gradient(spec, enc, x, x.copy())
+        assert sizes.count(n * n) == 0
+        assert got == same
+        assert abs(got - value) <= 1e-12 * abs(value)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+        assert calls == []
 
     @pytest.mark.parametrize("far", ["scaled-sample", "row", "column"])
     def test_far_row_or_column_matches_dense_oracle(self, monkeypatch, far):
@@ -916,20 +947,24 @@ class TestSharedExponential:
             assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
 
     def test_peak_memory_holds_one_table(self, monkeypatch):
-        # E overwrites the similarity matrix; beside it only n x 2d arrays.
+        # E overwrites the similarity matrix, or only its row and column sums
+        # are read; beside it only n x 2d arrays. Smoothed InfoNCE, the
+        # linear loss and phi identity with psi exp.
         import tracemalloc
         n = 1200
         x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
         enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
         calls = count_calls(monkeypatch, losses, "_anchored")
-        tracemalloc.start()
-        try:
-            losses.loss_gradient(LossSpec.infonce(tau=0.5, smoothed=True), enc, (x, xt))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        for spec in (LossSpec.infonce(tau=0.5, smoothed=True), LossSpec.linear(),
+                     LossSpec(phi="identity", psi="exp", tau=0.5, cn="n")):
+            tracemalloc.start()
+            try:
+                losses.loss_gradient(spec, enc, (x, xt))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * n * n * 8, spec
         assert calls == []
-        assert peak <= 1.25 * n * n * 8
 
 
 @settings(max_examples=15, deadline=None)

@@ -357,14 +357,26 @@ class TestApproxInfonce:
         with pytest.raises(InvalidInput):
             solvers.fit_approx_infonce(ds, 2, LossSpec.linear())
 
+    @staticmethod
+    def oracle(ds, r, spec, init):
+        """The dense beta tables of compute_weights at init, and the top-r SVD
+        of their contrast matrix."""
+        weights = losses.compute_weights(spec, losses.similarity_matrix(init, ds.x, ds.xt))
+        contrast = losses.contrastive_cross_covariance(weights, ds.x, ds.xt, spec.cn)
+        u, s, vt = np.linalg.svd(contrast)
+        return weights, (u[:, :r] * s[:r]) @ vt[:r]
+
     def test_zero_init_gives_uniform_tables(self):
         model = datagen.random_model(5, 4, 2, seed=1)
         ds = datagen.sample_paired(model, 6, 0.0, seed=1)
         init = EncoderPair(g1=np.zeros((2, 5)), g2=np.zeros((2, 4)))
-        fit = solvers.fit_approx_infonce(ds, 2, LossSpec.clip(tau=0.5, nu=2.0), init=init)
-        off = fit.meta["beta_off"][~np.eye(6, dtype=bool)]
+        spec = LossSpec.clip(tau=0.5, nu=2.0)
+        fit = solvers.fit_approx_infonce(ds, 2, spec, init=init)
+        weights, product = self.oracle(ds, 2, spec, init)
+        off = weights.beta_off[~np.eye(6, dtype=bool)]
         assert np.allclose(off, 1.0 / 6.0, atol=1e-12)
-        assert np.allclose(fit.meta["beta_diag"], (2.0 - 1.0 / 6.0) * np.ones(6), atol=1e-12)
+        assert np.allclose(weights.beta_diag, (2.0 - 1.0 / 6.0) * np.ones(6), atol=1e-12)
+        assert np.abs(fit.product - product).max() <= 1e-12 * np.abs(product).max()
 
     def test_corrupted_pair_weights_concentrate(self):
         # Ground-truth initialization at twice the natural scale, schedule
@@ -378,8 +390,7 @@ class TestApproxInfonce:
             g2=2.0 * np.sqrt(model.sigma_zt)[:, None] * model.u2_star.T)
         for seed in range(10):
             ds = datagen.sample_paired(model, 400, 0.2, seed=(3, seed))
-            fit = solvers.fit_approx_infonce(ds, 64, spec, init=init)
-            beta = fit.meta["beta_off"]
+            beta = self.oracle(ds, 64, spec, init)[0].beta_off
             truth = ds.truth_edges
             broken = truth[truth[:, 0] != truth[:, 1]]
             assert broken.shape[0] > 0
@@ -407,12 +418,20 @@ class TestApproxInfonce:
         for a, b in zip(medians, medians[1:]):
             assert 1.0 <= a / b <= 3.0
 
-    def test_meta_tables_present(self):
+    def test_product_is_truncated_svd_of_oracle_contrast(self, monkeypatch):
+        # The fit takes its contrast from the loss gradient's paired pass,
+        # never from the dense beta tables.
         model = datagen.random_model(5, 4, 2, seed=1)
         ds = datagen.sample_paired(model, 8, 0.0, seed=2)
-        fit = solvers.fit_approx_infonce(ds, 2, LossSpec.clip(tau=0.5, nu=2.0))
-        assert {"singular_values", "beta_diag", "beta_off"} <= set(fit.meta)
-        assert fit.meta["beta_off"].shape == (8, 8)
+        specs = (LossSpec.clip(tau=0.5, nu=2.0), LossSpec.infonce(tau=0.3, nu=1.5, smoothed=True))
+        init = solvers.fit_linear_closed_form(ds, 2).enc
+        want = [self.oracle(ds, 2, spec, init)[1] for spec in specs]
+        calls = count_calls(monkeypatch, losses, "_anchored")
+        for spec, product in zip(specs, want):
+            fit = solvers.fit_approx_infonce(ds, 2, spec)
+            assert set(fit.meta) == {"singular_values"}
+            assert np.abs(fit.product - product).max() <= 1e-12 * np.abs(product).max()
+        assert calls == []
 
 
 def estimate_edges_by_sets(sims):
