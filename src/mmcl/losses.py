@@ -441,7 +441,9 @@ def _softmax_sums(blocks, row_max, col_max, x=None, xt=None):
         right, left = np.empty((n, xt.shape[1])), np.zeros((x.shape[1], m))
     for lo, e in blocks:
         rows = slice(lo, lo + e.shape[0])
-        f = e if shared else np.exp(e - col_max)  # taken before e is overwritten
+        f = e if shared else np.subtract(e, col_max)  # taken before e is overwritten
+        if not shared:
+            np.exp(f, out=f)  # in place, so that beside E there is one table, F
         np.exp(np.subtract(e, c if shared else row_max[rows, None], out=e), out=e)
         row_sum[rows] = e @ ones[:m]
         col_sum += ones[:e.shape[0]] @ f

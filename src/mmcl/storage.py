@@ -18,6 +18,7 @@ from .errors import InvalidInput
 from .losses import LossSpec
 
 DATASET_KINDS = ("paired", "unpaired", "labeled-bipartite")
+TWIN_NAME = "matrices.npz"  # a dataset's x.csv and xt.csv, keyed by their SHA-1
 
 
 def int_option(opts: dict, name: str, default: int, minimum: int = 1,
@@ -152,25 +153,15 @@ def _write_edge_rows(path: str, edges: np.ndarray, truth_mask) -> None:
     write_csv(path, ("i", "j", "is_truth"), rows)
 
 
-def _data_rows(path: str) -> list:
-    """(line number, cells) for each nonblank line of an integer CSV file but
-    its header, an optional first row whose first cell is not an integer."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        rows = [(n, ln.strip().split(",")) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if rows:
-        try:
-            int(rows[0][1][0])  # the rule _int_columns applies to each data cell
-        except ValueError:
-            return rows[1:]
-    return rows
+def _outside(arr: np.ndarray, bounds: tuple) -> np.ndarray:
+    """Indices of the rows of arr with a value of column c outside [0, bounds[c])."""
+    head = arr[:, :len(bounds)]
+    return np.flatnonzero(((head < 0) | (head >= np.asarray(bounds))).any(axis=1))
 
 
 def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.ndarray:
-    """The first width cells of each (line number, cells) row as int64.
-
-    A shorter row, a non-integer cell, or a value of column c outside
-    [0, bounds[c]) raises InvalidInput naming the file and the line.
-    """
+    """The first width cells of each (line number, cells) row as int64, one
+    int() per cell; raises as _read_ints does."""
     out = []
     for n, cells in rows:
         if len(cells) < width:
@@ -184,22 +175,57 @@ def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.nd
         arr = np.asarray(out, dtype=np.int64).reshape(-1, width)
     except OverflowError:
         raise InvalidInput(f"{path}: integer beyond 64 bits") from None
-    head = arr[:, :len(bounds)]
-    bad = np.flatnonzero(((head < 0) | (head >= np.asarray(bounds))).any(axis=1))
+    bad = _outside(arr, bounds)
     if bad.size:
         n, cells = rows[bad[0]]
         raise InvalidInput(f"{path} line {n}: value out of range in {','.join(cells)!r}")
     return arr
 
 
+def _read_ints(path: str, width: int, bounds: tuple = ()) -> np.ndarray:
+    """The first width cells of each nonblank line of an integer CSV file as
+    int64, but its header, an optional first line whose first cell is not an
+    integer.
+
+    A shorter row, a non-integer cell, or a value of column c outside
+    [0, bounds[c]) raises InvalidInput naming the file and the line.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
+    start = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
+    if start < len(lines):
+        try:
+            int(lines[start].strip().split(",")[0])  # the rule applied to each data cell
+        except ValueError:
+            start += 1
+    body, arr = lines[start:], None
+    text, count = "".join(body), len(body) - body.count("\n")
+    # loadtxt reads non-ASCII letters as digits and U+001C..U+001F in a cell as
+    # blanks, where int() refuses both; what loadtxt refuses (short rows, "1_0",
+    # 2**63), or puts out of bounds, the line reader judges, for its message.
+    if count and text.isascii() and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            arr = np.loadtxt(body, dtype=np.int64, delimiter=",", usecols=range(width),
+                             comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if arr is None or arr.shape[0] != count or _outside(arr, bounds).size:
+        rows = [(n, ln.strip().split(",")) for n, ln in enumerate(body, start=start + 1)
+                if ln.strip()]
+        arr = _int_columns(path, rows, width, bounds)
+    return arr
+
+
 def read_edge_csv(path: str) -> np.ndarray:
     """Edge list from a CSV with an optional i,j[,is_truth] header; truth column
     ignored."""
-    return _int_columns(path, _data_rows(path), 2)
+    return _read_ints(path, 2)
 
 
 def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> None:
-    """Write a dataset directory: x.csv, xt.csv, edges.csv, meta.json.
+    """Write a dataset directory: x.csv, xt.csv, edges.csv, meta.json, and
+    matrices.npz, the binary twin of x.csv and xt.csv that load_dataset reads
+    in their place while their bytes are unchanged.
 
     Co-indexed data stores the observed pairs with is_truth marking the
     genuine ones (the hidden partners of broken pairs are not persisted);
@@ -208,8 +234,12 @@ def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> Non
     agreement, plus label files.
     """
     os.makedirs(path, exist_ok=True)
-    save_matrix(os.path.join(path, "x.csv"), ds.x)
-    save_matrix(os.path.join(path, "xt.csv"), ds.xt)
+    matrices = {"x.csv": ds.x, "xt.csv": ds.xt}
+    for name, arr in matrices.items():
+        save_matrix(os.path.join(path, name), arr)
+    np.savez(os.path.join(path, TWIN_NAME), **{
+        _twin_key(path, name): np.ascontiguousarray(arr, dtype=np.float64)
+        for name, arr in matrices.items()})
     meta = {
         "d1": int(ds.x.shape[1]),
         "d2": int(ds.xt.shape[1]),
@@ -243,19 +273,47 @@ def save_dataset(path: str, ds, model: datagen.ModelParams | None = None) -> Non
 
 
 def _read_labels(path: str, count: int, k: int) -> np.ndarray:
-    labels = _int_columns(path, _data_rows(path), 1, (k,))[:, 0]
+    labels = _read_ints(path, 1, (k,))[:, 0]
     if labels.size != count:
         raise InvalidInput(f"{path}: {labels.size} labels for {count} rows")
     return labels
 
 
-def _load_shaped(path: str, rows: int | None, cols: int) -> np.ndarray:
-    """load_matrix, checked to have cols columns and, unless None, rows rows."""
-    arr = load_matrix(path)
-    if arr.shape[1] != cols or rows is not None and arr.shape[0] != rows:
-        want = f"{'any' if rows is None else rows} x {cols}"
-        raise InvalidInput(f"{path}: {arr.shape[0]} x {arr.shape[1]} matrix, expected {want}")
-    return arr
+def _twin_key(path: str, name: str) -> str:
+    """The twin's key for CSV file name in path: the name and its bytes' SHA-1."""
+    with open(os.path.join(path, name), "rb") as fh:
+        return f"{name}.{blob_sha1(fh.read())}"
+
+
+def _fits(arr: np.ndarray, rows: int | None, cols: int) -> bool:
+    """Whether arr is a nonempty matrix of cols columns and, unless None, rows rows."""
+    return arr.ndim == 2 and arr.size and arr.shape[1] == cols and rows in (None, arr.shape[0])
+
+
+def _load_matrices(path: str, shapes: dict) -> list:
+    """load_matrix of each CSV file in path, checked to have the shapes'
+    (rows, cols), rows None for any; a file is not parsed when the twin holds a
+    finite float64 matrix of that shape under its key, as save_dataset writes."""
+    found = {}
+    try:
+        with (open(os.path.join(path, TWIN_NAME), "rb") as fh,
+              np.load(fh, allow_pickle=False) as twin):
+            for name, (rows, cols) in shapes.items():
+                arr = twin.get(_twin_key(path, name))
+                if (arr is not None and arr.dtype == np.float64 and _fits(arr, rows, cols)
+                        and np.isfinite(arr).all()):
+                    found[name] = arr
+    except Exception:  # no twin, or one unreadable in any way: the files left are parsed
+        pass
+    out = []
+    for name, (rows, cols) in shapes.items():
+        file = os.path.join(path, name)
+        arr = found[name] if name in found else load_matrix(file)
+        if not _fits(arr, rows, cols):
+            want = f"{'any' if rows is None else rows} x {cols}"
+            raise InvalidInput(f"{file}: {arr.shape[0]} x {arr.shape[1]} matrix, expected {want}")
+        out.append(arr)
+    return out
 
 
 def load_dataset(path: str):
@@ -272,10 +330,10 @@ def load_dataset(path: str):
     p_n = float_option(meta, "p_n", 1.0 if kind == "unpaired" else 0.0, hi=1.0,
                        lo_open=False, where=f"{meta_path}: ")
     n, d1, d2 = (int_option(meta, key, None, where=f"{meta_path}: ") for key in ("n", "d1", "d2"))
-    x = _load_shaped(os.path.join(path, "x.csv"), n, d1)
-    xt = _load_shaped(os.path.join(path, "xt.csv"), None if kind == "labeled-bipartite" else n, d2)
+    x, xt = _load_matrices(path, {
+        "x.csv": (n, d1), "xt.csv": (None if kind == "labeled-bipartite" else n, d2)})
     edge_path = os.path.join(path, "edges.csv")
-    rows = _int_columns(edge_path, _data_rows(edge_path), 3, (x.shape[0], xt.shape[0]))
+    rows = _read_ints(edge_path, 3, (x.shape[0], xt.shape[0]))
     edges = np.ascontiguousarray(rows[:, :2])
     if kind == "labeled-bipartite":
         k = int_option(meta, "k", None, where=f"{meta_path}: ")

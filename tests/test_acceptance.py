@@ -339,7 +339,7 @@ def test_criterion_8_cli_reruns_are_byte_identical(tmp_path):
 
     a, b = results["a"], results["b"]
     same_gen = files_equal(a / "data", b / "data",
-                           ("x.csv", "xt.csv", "edges.csv", "meta.json"))
+                           ("x.csv", "xt.csv", "edges.csv", "meta.json", "matrices.npz"))
     same_fit = files_equal(a / "fit", b / "fit",
                            ("product.csv", "g1.csv", "g2.csv", "fit.json"))
     same_part = files_equal(a / "part", b / "part",

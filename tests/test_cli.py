@@ -171,6 +171,29 @@ class TestFit:
         gs = storage.load_matrix(str(out_s / "g1.csv"))
         assert ge.shape == gs.shape == (2, 6)
 
+    @pytest.mark.parametrize("method", ["linear", "gd", "approx", "sscl", "semi"])
+    def test_outputs_do_not_depend_on_the_binary_twin(self, tmp_path, method):
+        # matrices.npz spares the parse of x.csv and xt.csv; without it the
+        # CSV files give the same matrices, so every output byte is the same.
+        outputs = []
+        for twin in (True, False):
+            base = tmp_path / str(twin)
+            base.mkdir()
+            data = gen_paired(base, n=30)
+            ucfg = write_config(base, "u.json", {
+                "kind": "unpaired", "model": MODEL, "n": 60, "seed": 7})
+            assert main(["gen", "--config", ucfg, "--out", str(base / "pool")]) == 0
+            if not twin:
+                for directory in (data, base / "pool"):
+                    os.remove(os.path.join(directory, storage.TWIN_NAME))
+            extra = ["--unpaired", str(base / "pool")] if method == "semi" else []
+            assert main(["fit", method, "--data", data, "--out", str(base / "fit"),
+                         "--r", "2", *extra]) == 0
+            outputs.append({name: (base / "fit" / name).read_bytes()
+                            for name in sorted(os.listdir(base / "fit"))})
+        assert "fit.json" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_degenerate_data_exits_3(self, tmp_path, capsys):
         ds = datagen.PairedDataset(
             x=np.ones((4, 3)), xt=np.ones((4, 2)),

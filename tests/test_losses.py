@@ -966,6 +966,26 @@ class TestSharedExponential:
             assert peak <= 1.25 * n * n * 8, spec
         assert calls == []
 
+    @pytest.mark.parametrize("tau", [0.01, 1e-3])
+    def test_two_shift_peak_holds_two_tables(self, tau):
+        # Out of one shared exponential's range, E overwrites the similarity
+        # matrix and F, exponentiated in place, is the one other n x n table.
+        import tracemalloc
+        n = 1200
+        x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
+        enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
+        z = losses.similarity_matrix(enc, x, xt) / tau
+        edge = min(z.max(axis=1).min(), z.max(axis=0).min())
+        assert edge < z.max() - losses._SHARED_RANGE  # the two-shift route
+        del z
+        tracemalloc.start()
+        try:
+            losses.loss_gradient(LossSpec.clip(tau=tau), enc, (x, xt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * n * 8
+
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))

@@ -6,11 +6,12 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmcl import bsgmp, datagen, solvers, storage
 from mmcl.errors import InvalidInput
@@ -158,6 +159,57 @@ def test_fast_csv_parse_matches_line_reader(damage):
         assert np.array_equal(fast, slow)
 
 
+INT_BASE = b"i,j,is_truth\n0,1,1\n2,3,0\n4,4,1\n"
+# The CLI fuzz's bad cells and extremes, then headers, blank lines, a BOM,
+# newlines, separators loadtxt reads as blanks, underscores, non-ASCII digits
+# and letters, and values beyond 64 bits.
+INT_DAMAGE = [b"x", b"nan", b"inf", b"1e309", b"", b"-1", b"1000", b"\xef\xbb\xbf1",
+              b"\xff\xfe", b"1e300", b"-1e300", b"1e308", b"1e-300", b"i,j\n", b"label\n",
+              b"\n", b"\n\n", b" \n", b"\r", b"\r\n", b"\xef\xbb\xbf", b",", b" ", b"\t",
+              b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"\x00", b"_", b"1_0", b"+", b"-0", b"1.0",
+              "\u0661".encode(), "\u01fe".encode(), "\uff11".encode(), b"99999999999999999999",
+              b"9223372036854775807", b"9223372036854775808"]
+
+
+def read_ints_outcome(path, width, bounds, fast):
+    """_read_ints's array or error message, with or without the loadtxt parse."""
+    with contextlib.ExitStack() as stack:
+        if not fast:
+            stack.enter_context(mock.patch.object(np, "loadtxt", side_effect=ValueError))
+        try:
+            return storage._read_ints(path, width, bounds)
+        except (InvalidInput, UnicodeDecodeError) as exc:
+            return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example([("\u01fe".encode(), 14, False)], (2, ()))  # loadtxt reads "0\u01fe" as 462
+@example([(b"\x1c", 14, False)], (2, ()))  # and "0\x1c" as 0
+@example([(b" \n", 13, False), (b"\n", 0, False)], (3, (5, 5)))
+@given(st.lists(st.tuples(st.sampled_from(INT_DAMAGE), st.integers(0, len(INT_BASE)),
+                          st.booleans()), min_size=1, max_size=3),
+       st.sampled_from([(1, ()), (1, (5,)), (2, ()), (3, (5, 5)), (3, (4, 4))]))
+def test_fast_int_parse_matches_line_reader(damage, layout):
+    # Each token is inserted at a byte offset, or replaces the cell there; the
+    # loadtxt parse and the int() line reader agree on the array or on the
+    # error message.
+    text = INT_BASE
+    for token, pos, replace in damage:
+        ends = [i for i in (text.find(b",", pos), text.find(b"\n", pos)) if i >= 0]
+        end = min(ends, default=len(text)) if replace else pos
+        text = text[:pos] + token + text[end:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        fast, slow = (read_ints_outcome(path, *layout, f) for f in (True, False))
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert isinstance(fast, np.ndarray) and fast.dtype == slow.dtype == np.int64
+        assert fast.shape == slow.shape and np.array_equal(fast, slow)
+
+
 class TestJsonHelpers:
     def test_save_json_sorts_keys_and_ends_with_newline(self, tmp_path):
         path = tmp_path / "o.json"
@@ -232,6 +284,13 @@ class TestReadEdgeCsv:
         with pytest.raises(InvalidInput, match=f"{path} line 4: non-integer"):
             storage.read_edge_csv(str(path))
 
+    def test_clean_file_takes_no_line_by_line_parse(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("i,j,is_truth\n" + "".join(f"{i},{i % 7},1\n" for i in range(500)))
+        with mock.patch.object(storage, "_int_columns", side_effect=AssertionError):
+            got = storage.read_edge_csv(str(path))
+        assert got.tolist() == [[i, i % 7] for i in range(500)]
+
 
 class TestDatasetRoundTrip:
     def setup_method(self):
@@ -241,7 +300,8 @@ class TestDatasetRoundTrip:
         ds = datagen.sample_paired(self.model, 10, 0.2, seed=3)
         out = tmp_path / "ds"
         storage.save_dataset(str(out), ds, model=self.model)
-        assert sorted(os.listdir(out)) == ["edges.csv", "meta.json", "x.csv", "xt.csv"]
+        assert sorted(os.listdir(out)) == [
+            "edges.csv", "matrices.npz", "meta.json", "x.csv", "xt.csv"]
         back = storage.load_dataset(str(out))
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.xt, ds.xt)
@@ -277,7 +337,7 @@ class TestDatasetRoundTrip:
         storage.save_dataset(str(out), lab, model=self.model)
         assert sorted(os.listdir(out)) == [
             "edges.csv", "labels_left.csv", "labels_right.csv",
-            "meta.json", "x.csv", "xt.csv"]
+            "matrices.npz", "meta.json", "x.csv", "xt.csv"]
         back = storage.load_dataset(str(out))
         assert isinstance(back, datagen.LabeledBipartite)
         assert np.array_equal(back.x, lab.x)
@@ -424,6 +484,148 @@ class TestLoadDatasetChecks:
         data = self.edit_meta(tmp_path, "paired",
                               lambda m: {f: v for f, v in m.items() if f != "kind"})
         assert storage.load_dataset(str(data)).meta["kind"] == "paired"
+
+
+def save_one_array(path):
+    """An .npy file, not an archive, at path."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.ones((30, 5)))
+
+
+class TestDatasetTwin:
+    """save_dataset's matrices.npz holds x.csv and xt.csv under the SHA-1 of
+    their bytes; load_dataset parses a CSV file whenever the twin does not
+    hold that file's current bytes."""
+
+    MODEL = datagen.random_model(5, 4, 2, seed=0)
+
+    def write(self, tmp_path, twin=True):
+        ds = datagen.sample_paired(self.MODEL, 30, 0.2, seed=1)
+        ds.x[0, 0], ds.x[1, 1], ds.xt[2, 2] = -0.0, 5e-324, 1.7976931348623157e308
+        storage.save_dataset(str(tmp_path), ds)
+        if not twin:
+            os.remove(tmp_path / storage.TWIN_NAME)
+        return ds
+
+    def load(self, tmp_path, monkeypatch):
+        """load_dataset's result and the dtypes that np.loadtxt was called with."""
+        dtypes = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            dtypes.append(np.dtype(kwargs.get("dtype", float)))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = storage.load_dataset(str(tmp_path))
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        return back, dtypes
+
+    def test_hit_parses_no_matrix(self, tmp_path, monkeypatch):
+        ds = self.write(tmp_path)
+        back, dtypes = self.load(tmp_path, monkeypatch)
+        assert dtypes == [np.dtype(np.int64)]  # edges.csv only
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.xt, ds.xt)
+        assert np.signbit(back.x[0, 0]) and back.x.flags.c_contiguous
+        assert np.array_equal(back.observed_edges, ds.observed_edges)
+
+    def test_twin_gives_the_csv_parse(self, tmp_path, monkeypatch):
+        self.write(tmp_path / "twin")
+        self.write(tmp_path / "csv", twin=False)
+        back, _ = self.load(tmp_path / "twin", monkeypatch)
+        want, dtypes = self.load(tmp_path / "csv", monkeypatch)
+        assert dtypes.count(np.dtype(np.float64)) == 2
+        for a, b in ((back.x, want.x), (back.xt, want.xt)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_edited_csv_loads_the_edit(self, tmp_path, monkeypatch):
+        ds = self.write(tmp_path)
+        path = tmp_path / "xt.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["0.25"] * len(lines[3].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        back, dtypes = self.load(tmp_path, monkeypatch)
+        assert dtypes.count(np.dtype(np.float64)) == 1
+        assert np.array_equal(back.x, ds.x)
+        assert np.all(back.xt[3] == 0.25)
+        assert np.array_equal(np.delete(back.xt, 3, axis=0), np.delete(ds.xt, 3, axis=0))
+
+    @staticmethod
+    def rewrite(tmp_path, change):
+        """Rewrite the twin with change applied to its {key: array} entries."""
+        with np.load(tmp_path / storage.TWIN_NAME) as twin:
+            entries = {key: twin[key] for key in twin.files}
+        np.savez(tmp_path / storage.TWIN_NAME, **change(entries))
+
+    DAMAGE = {
+        "truncated": lambda p: p.write_bytes(p.read_bytes()[:-100]),
+        "half": lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]),
+        "garbage": lambda p: p.write_bytes(b"\x93NUMPY garbage\n" * 50),
+        "empty": lambda p: p.write_bytes(b""),
+        "flipped byte": lambda p: p.write_bytes(
+            p.read_bytes()[:2000] + bytes([p.read_bytes()[2000] ^ 1]) + p.read_bytes()[2001:]),
+        "directory": lambda p: (os.remove(p), os.mkdir(p)),
+        "one array": lambda p: save_one_array(p),
+    }
+    CHANGES = {
+        "stale digest": lambda e: {k[:-1] + "0" if k[-1] != "0" else k[:-1] + "1": v
+                                   for k, v in e.items()},
+        "missing key": lambda e: {k: v for k, v in e.items() if not k.startswith("x.csv")},
+        "wrong shape": lambda e: {k: v[:-1] for k, v in e.items()},
+        "wrong dtype": lambda e: {k: v.view(np.int64) for k, v in e.items()},
+        "wrong ndim": lambda e: {k: v.ravel() for k, v in e.items()},
+        "big-endian": lambda e: {k: v.astype(">f8") for k, v in e.items()},
+        "non-finite": lambda e: {k: np.where(v == v.max(), np.inf, v) for k, v in e.items()},
+        "objects": lambda e: {k: np.array([v], dtype=object) for k, v in e.items()},
+    }
+
+    @pytest.mark.parametrize("how", sorted(DAMAGE) + sorted(CHANGES))
+    def test_damaged_twin_gives_the_csv_parse(self, tmp_path, monkeypatch, how):
+        ds = self.write(tmp_path)
+        if how in self.DAMAGE:
+            self.DAMAGE[how](tmp_path / storage.TWIN_NAME)
+        else:
+            self.rewrite(tmp_path, self.CHANGES[how])
+        back, dtypes = self.load(tmp_path, monkeypatch)
+        assert dtypes.count(np.dtype(np.float64)) >= 1
+        for a, b in ((back.x, ds.x), (back.xt, ds.xt)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_twinless_directory_loads_as_before(self, tmp_path, monkeypatch):
+        ds = self.write(tmp_path, twin=False)
+        assert sorted(os.listdir(tmp_path)) == ["edges.csv", "meta.json", "x.csv", "xt.csv"]
+        with mock.patch.object(storage, "blob_sha1", side_effect=AssertionError):
+            back, dtypes = self.load(tmp_path, monkeypatch)
+        assert dtypes.count(np.dtype(np.float64)) == 2
+        assert np.array_equal(back.x, ds.x) and np.array_equal(back.xt, ds.xt)
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda m: dict(m, n=29), "x.csv: 30 x 5 matrix, expected 29 x 5"),
+        (lambda m: dict(m, d2=5), "xt.csv: 30 x 4 matrix, expected 30 x 5"),
+    ])
+    def test_twin_matrices_meet_the_shape_check(self, tmp_path, edit, fragment):
+        self.write(tmp_path)
+        meta = storage.load_json(str(tmp_path / "meta.json"))
+        (tmp_path / "meta.json").write_text(json.dumps(edit(meta)))
+        for twin in (True, False):
+            if not twin:
+                os.remove(tmp_path / storage.TWIN_NAME)
+            with pytest.raises(InvalidInput, match=re.escape(f"{tmp_path / fragment}")):
+                storage.load_dataset(str(tmp_path))
+
+    def test_non_finite_matrix_keeps_the_csv_message(self, tmp_path):
+        ds = datagen.sample_paired(self.MODEL, 30, 0.2, seed=1)
+        ds.x[4, 1] = np.nan
+        storage.save_dataset(str(tmp_path), ds)
+        for twin in (True, False):
+            if not twin:
+                os.remove(tmp_path / storage.TWIN_NAME)
+            with pytest.raises(InvalidInput,
+                               match=re.escape(f"{tmp_path / 'x.csv'} line 5: non-finite cell")):
+                storage.load_dataset(str(tmp_path))
 
 
 class TestSaveFit:
