@@ -16,7 +16,7 @@ from .errors import (
     NonFinite,
     NumericalError,
 )
-from .linalg import Subspace, SvdResult, effective_rank, right_singular_subspace, sin_theta, svd, svd_top_r
+from .linalg import Subspace, SvdResult, effective_rank, right_singular_subspace, sin_theta, svd
 from .datagen import (
     LabeledBipartite,
     ModelParams,
@@ -27,11 +27,9 @@ from .datagen import (
     sample_unpaired,
 )
 from .losses import (
-    ContrastiveWeights,
     EncoderPair,
     LossSpec,
     PoolSimilarity,
-    compute_weights,
     contrastive_cross_covariance,
     loss_gradient,
     loss_value,

@@ -104,14 +104,6 @@ def _check_rank(r: int, shape) -> None:
         raise InvalidRank(f"rank {r} not in [1, {min(shape)}] for shape {shape}")
 
 
-def svd_top_r(a, r: int) -> np.ndarray:
-    """Best rank-r approximation of a in Frobenius norm."""
-    arr = as_matrix(a)
-    _check_rank(r, arr.shape)
-    res = svd(arr)
-    return (res.u[:, :r] * res.s[:r]) @ res.v[:, :r].T
-
-
 def right_singular_subspace(a, r: int) -> Subspace:
     """Span of the top-r right singular vectors of a.
 

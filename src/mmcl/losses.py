@@ -1,4 +1,4 @@
-"""Contrastive losses over similarity matrices, their weight tables and gradients.
+"""Contrastive losses over similarity matrices, their gradients and contrasts.
 
 The loss family is parameterized by an outer transform phi, an inner
 transform psi, a diagonal weight epsilon, a margin multiplier nu, a
@@ -7,17 +7,18 @@ encoder product. Identity transforms give the linear loss; log/exp with
 epsilon=1 gives the CLIP loss; log/exp with epsilon=0 gives InfoNCE.
 
 Weight tables (alpha, alpha-bar, beta) express any loss in this family as
-a weighted contrast between observed pairs and cross pairs; compute_weights
-builds them densely, as an oracle only. The loss value and gradient take
-another route to the same derivative, one _paired_pass for every spec: row i
-of an alpha table is a scale times a fixed table E, exp(sims / tau - shift)
-from one _softmax_sums pass for psi exp, and 1 off the diagonal with epsilon
-on it, never built, for psi identity. An unpaired pool's similarity is never
-stored: PoolSimilarity keeps its two rank-r factors and rebuilds row blocks,
-once for an extrema scan that the edge estimator and the weights share and
-once for the contrast, which streams them through the same _softmax_sums.
-That kernel takes one exponential per entry, or two, one shifted per row and
-one per column, for a table too spread for one shift.
+a weighted contrast between observed pairs and cross pairs. No table is
+built here (tests/oracle.py builds them densely, as the reference): each
+quantity has one route. One _paired_pass gives the loss value and gradient
+of every spec: row i of an alpha table is a scale times a fixed table E,
+exp(sims / tau - shift) from one _softmax_sums pass for psi exp, and 1 off
+the diagonal with epsilon on it, never built, for psi identity. An unpaired
+pool's contrast comes from unpaired_weights and contrastive_cross_covariance;
+its similarity is never stored: PoolSimilarity keeps its two rank-r factors
+and rebuilds row blocks, once for an extrema scan that the edge estimator and
+the weights share and once for the contrast, which streams them through the
+same _softmax_sums. That kernel takes one exponential per entry, or two, one
+shifted per row and one per column, for a table too spread for one shift.
 """
 
 import numbers
@@ -239,67 +240,6 @@ def _data_arrays(data):
     raise InvalidInput("data must expose x and xt arrays")
 
 
-def _log_sum_exp(z: np.ndarray, axis: int, log1p: bool = False,
-                 normalize: bool = False) -> np.ndarray:
-    """Log-sum-exp L along axis (log(1 + sum exp z) with log1p), keeping the axis.
-
-    One exponentiation per entry: z becomes exp(z - m), m the maximum along
-    axis, and with normalize is scaled by exp(m - L) <= 1 to exp(z - L).
-    """
-    m = np.max(z, axis=axis, keepdims=True)
-    z -= m
-    np.exp(z, out=z)
-    lse = m + np.log(np.sum(z, axis=axis, keepdims=True))
-    if log1p:
-        lse = np.logaddexp(0.0, lse)
-    if normalize:
-        z *= np.exp(m - lse)
-    return lse
-
-
-def _aggregate(spec: LossSpec, z: np.ndarray, axis: int, want_alpha: bool = False):
-    """phi of each epsilon-weighted psi aggregate along axis, and the alpha table.
-
-    z is square with entry (i, j) = s_ij - nu * s_ii for axis=1 and
-    s_ij - nu * s_jj for axis=0. It is used as scratch; with want_alpha it
-    ends up holding epsilon-weighted phi'(aggregate) * psi'(entry).
-    """
-    diag = np.einsum("ii->i", z)  # writable view of the diagonal
-    if spec.psi == "exp":
-        z /= spec.tau
-        diag += np.log(spec.epsilon)
-        if spec.phi != "identity":
-            lse = _log_sum_exp(z, axis, log1p=spec.phi == "log1p", normalize=want_alpha)
-            return spec.tau * lse.ravel(), z
-        np.exp(z, out=z)
-        return np.sum(z, axis=axis), (z / spec.tau if want_alpha else z)
-    # psi identity: psi' = 1 and the aggregate is a plain weighted sum
-    diag *= spec.epsilon
-    t = np.sum(z, axis=axis, keepdims=True)
-    if spec.phi == "identity":
-        dphi = 1.0
-    else:
-        arg = t if spec.phi == "log" else 1.0 + t
-        if want_alpha and np.any(arg <= 0):
-            raise NonFinite("log of a nonpositive aggregate" if spec.phi == "log"
-                            else "log1p of an aggregate at or below -1")
-        dphi = spec.tau / arg
-        t = spec.tau * (np.log(t) if spec.phi == "log" else np.log1p(t))
-    if want_alpha:
-        z[...] = dphi
-        diag *= spec.epsilon
-    return t.ravel(), z
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
-def _anchored(spec: LossSpec, sims: np.ndarray, want_alpha: bool = False):
-    """_aggregate of the row-anchored and the column-anchored tables; sims is overwritten."""
-    nu_diag = spec.nu * np.diag(sims)
-    row = _aggregate(spec, sims - nu_diag[:, None], 1, want_alpha)
-    sims -= nu_diag[None, :]
-    return row, _aggregate(spec, sims, 0, want_alpha)
-
-
 def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
     """Value of the contrastive loss plus the ridge penalty.
 
@@ -311,23 +251,11 @@ def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
 
 
 @dataclass(frozen=True)
-class ContrastiveWeights:
-    """Paired weight tables that express a loss as a pair-versus-cross contrast:
-    beta_diag on each observed pair, the zero-diagonal beta_off on cross
-    pairs, and the raw alpha tables for diagnostics."""
-
-    beta_diag: np.ndarray
-    beta_off: np.ndarray
-    alpha: np.ndarray | None = None
-    alpha_bar: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class UnpairedWeights:
     """An unpaired pool's symmetrized softmax table, never stored, plus the pair
     set whose empirical cross-covariance enters with weight nu. Holds the
-    pool's PoolSimilarity and the row and column maxima of sims / tau; the
-    contrast streams the table, and beta_off builds it densely on each call."""
+    pool's PoolSimilarity and the row and column maxima of sims / tau, from
+    which contrastive_cross_covariance streams the table."""
 
     sims: PoolSimilarity
     tau: float
@@ -335,35 +263,6 @@ class UnpairedWeights:
     col_max: np.ndarray
     edges: np.ndarray
     nu: float
-
-    @property
-    def beta_off(self) -> np.ndarray:
-        rows = self.sims.dense() / self.tau
-        beta = np.subtract(rows, self.col_max)
-        np.exp(beta, out=beta)
-        beta /= 2.0 * np.sum(beta, axis=0)
-        rows -= self.row_max[:, None]
-        np.exp(rows, out=rows)
-        rows /= 2.0 * np.sum(rows, axis=1, keepdims=True)
-        beta += rows
-        return beta
-
-
-def compute_weights(spec: LossSpec, sims) -> ContrastiveWeights:
-    """Beta weight tables of the loss at the given similarity matrix."""
-    sims = as_matrix(np.array(sims, dtype=np.float64), "sims")
-    if sims.shape[0] != sims.shape[1]:
-        raise InvalidInput(f"paired similarities must be square, got {sims.shape}")
-    if sims.shape[0] < 2:
-        raise InvalidInput("need at least 2 samples")
-    (_, alpha), (_, alpha_bar_t) = _anchored(spec, sims, want_alpha=True)
-    tot = np.sum(alpha, axis=1) + np.sum(alpha_bar_t, axis=0)
-    beta_diag = spec.nu * tot / 2.0 - (np.diag(alpha) + np.diag(alpha_bar_t)) / 2.0
-    beta_off = (alpha + alpha_bar_t) / 2.0
-    np.fill_diagonal(beta_off, 0.0)
-    return ContrastiveWeights(
-        beta_diag=beta_diag, beta_off=beta_off, alpha=alpha, alpha_bar=alpha_bar_t.T,
-    )
 
 
 def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
@@ -393,25 +292,16 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf / nan, no warning
-def contrastive_cross_covariance(weights: ContrastiveWeights | UnpairedWeights, x, xt,
-                                 c_n: str) -> np.ndarray:
-    """Weighted contrast of pair outer products against cross outer products.
-
-    c_n is a normalizer rule, "n(n-1)" or "n". ContrastiveWeights contrast
-    the diagonal against off-diagonal cross terms; UnpairedWeights contrast
-    the stored pair set (weight nu) against the full softmax table, which is
-    streamed in row blocks.
+def contrastive_cross_covariance(weights: UnpairedWeights, x, xt, c_n: str) -> np.ndarray:
+    """Weighted contrast of pair outer products against cross outer products:
+    the pair set (weight nu) against the full softmax table, streamed in row
+    blocks. c_n is a normalizer rule, "n(n-1)" or "n".
     """
     x = as_matrix(x, "x")
     xt = as_matrix(xt, "xt")
-    n = x.shape[0]
-    cn = c_n_value(c_n, n)
-    unpaired = isinstance(weights, UnpairedWeights)
-    if (weights.sims if unpaired else weights.beta_off).shape != (n, xt.shape[0]):
+    cn = c_n_value(c_n, x.shape[0])
+    if weights.sims.shape != (x.shape[0], xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
-    if not unpaired:
-        mixed = weights.beta_diag[:, None] * xt - weights.beta_off @ xt
-        return (x.T @ mixed) / cn
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
     blocks = ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
     (_, row_sum, right), (_, col_sum, left) = _softmax_sums(
@@ -457,8 +347,8 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
     """Gradients of loss_value with respect to g1 and g2.
 
     Both come from the contrast p = x.T W xt of one _paired_pass over the
-    similarity matrix, a route independent of the dense beta tables of
-    compute_weights; the two agree analytically.
+    similarity matrix. The tests check it against the dense beta tables of an
+    independent reference; the two agree analytically.
     """
     return _value_and_gradient(spec, enc, *_data_arrays(data))[1]
 

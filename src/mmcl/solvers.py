@@ -38,7 +38,7 @@ class FitResult:
       final_loss: loss value at the returned encoders.
       trace: per-iteration loss values for iterative solvers, else None.
       flags: short diagnostic strings ("degenerate-gap", "no-progress", ...).
-      meta: solver-specific extras (singular values, weight tables, edges).
+      meta: solver-specific extras (singular values, edges, contrast matrix).
     """
 
     enc: EncoderPair
@@ -140,7 +140,7 @@ def fit_gradient_descent(
     spent ("step-budget-exhausted", the usual end at the loss's rounding
     floor), or after max_iter steps; NonFinite if no first step has a
     finite loss. Each candidate is scored and differentiated in one pass
-    over its weight tables, so an accepted step carries the next
+    over its similarity matrix, so an accepted step carries the next
     iteration's gradient. lr = 0 returns the initialization unchanged
     with iterations = max_iter and a no-progress flag.
     """

@@ -18,16 +18,9 @@ import numpy as np
 import mmcl
 from mmcl import datagen, linalg, solvers
 from mmcl.harness import ExperimentConfig, run_experiment
-from mmcl.losses import (
-    EncoderPair,
-    LossSpec,
-    compute_weights,
-    contrastive_cross_covariance,
-    loss_gradient,
-    schedule_tau,
-    similarity_matrix,
-    unpaired_weights,
-)
+from mmcl.losses import EncoderPair, LossSpec, loss_gradient, schedule_tau, similarity_matrix
+
+from oracle import compute_weights, paired_contrast, svd_top_r, two_softmax_table
 
 
 def report(num: int | str, ok: bool, detail: str) -> None:
@@ -61,7 +54,7 @@ def test_criterion_1_gradient_matches_weighted_contrast():
                                   g2=0.6 * rng.standard_normal((2, 4)))
                 grad1, grad2 = loss_gradient(spec, enc, (x, xt))
                 weights = compute_weights(spec, similarity_matrix(enc, x, xt))
-                s = contrastive_cross_covariance(weights, x, xt, spec.cn)
+                s = paired_contrast(weights, x, xt, spec.cn)
                 res1 = grad1 + enc.g2 @ s.T - spec.rho * (enc.g2 @ enc.g2.T) @ enc.g1
                 res2 = grad2 + enc.g1 @ s - spec.rho * (enc.g1 @ enc.g1.T) @ enc.g2
                 rel = max(
@@ -80,7 +73,7 @@ def test_criterion_2_descent_reaches_scaled_truncated_svd():
     start = time.perf_counter()
     model = datagen.random_model(8, 8, 2, snr=2.0, seed=0)
     ds = datagen.sample_paired(model, 50, 0.0, seed=1)
-    target = linalg.svd_top_r(solvers.centered_cross_covariance(ds.x, ds.xt), 2)
+    target = svd_top_r(solvers.centered_cross_covariance(ds.x, ds.xt), 2)
     gd = solvers.fit_gradient_descent(LossSpec.linear(), ds, 2, lr=0.3,
                                       max_iter=4000)
     rel = float(np.linalg.norm(gd.product - target) / np.linalg.norm(target))
@@ -206,7 +199,7 @@ def test_criterion_5_edge_recovery_is_exact_for_most_seeds():
         exact += 1
         init = solvers.fit_linear_closed_form(paired, 16, spec.rho)
         sims = similarity_matrix(init.enc, pool.x, pool.xt)
-        beta = unpaired_weights(sims, tau, spec.nu, fit.meta["edges"]).beta_off
+        beta = two_softmax_table(sims, tau)
         mask = np.zeros_like(beta, dtype=bool)
         for i, j in truth:
             mask[i, j] = True

