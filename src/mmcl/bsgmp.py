@@ -93,6 +93,11 @@ def embedding_width(k: int) -> int:
 TIE_TOL = 1e-10
 
 
+def _tie_run(s) -> int:
+    """How many of the descending singular values s lie within TIE_TOL of s[0]."""
+    return int(np.count_nonzero(s[0] - s <= TIE_TOL * max(s[0], 1)))
+
+
 def _canonicalize_top_tie(u, v, s, deg_left):
     """Rotate an exactly tied leading singular block onto a fixed basis.
 
@@ -103,10 +108,7 @@ def _canonicalize_top_tie(u, v, s, deg_left):
     pins the remaining columns. Left and right vectors get the same
     rotation, which keeps the singular pairing within the tie tolerance.
     """
-    tol = TIE_TOL * max(s[0], 1.0)
-    run = 1
-    while run < s.shape[0] and s[0] - s[run] <= tol:
-        run += 1
+    run = _tie_run(s)
     if run < 2:
         return u, v
     t = np.sqrt(np.asarray(deg_left, dtype=np.float64))
@@ -146,7 +148,7 @@ def _ritz(basis, image, count: int):
     theta, y = theta[::-1], y[:, ::-1][:, :count]
     s = np.sqrt(np.maximum(theta, 0.0))
     vecs = basis @ y
-    if not theta[0] > 0.0 or s[0] - s[1] <= TIE_TOL * max(s[0], 1.0):
+    if not theta[0] > 0.0 or _tie_run(s) > 1:
         return vecs, np.inf
     resid = np.linalg.norm(image @ y - vecs * theta[:count], axis=0)
     return vecs, float(np.max(resid)) / theta[0]
@@ -198,8 +200,7 @@ def _leading_svd(a, count: int):
     if q is None:
         evals, evecs = np.linalg.eigh(m @ m.T)
         s = np.sqrt(np.maximum(evals[::-1], 0.0))
-        tied = int(np.count_nonzero(s[0] - s <= TIE_TOL * max(s[0], 1.0)))
-        q = evecs[:, ::-1][:, :max(count, tied)]
+        q = evecs[:, ::-1][:, :max(count, _tie_run(s))]
     if not wide:
         q = np.linalg.qr(a @ q)[0]
     res = linalg.svd(q.T @ a)

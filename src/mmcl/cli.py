@@ -25,6 +25,9 @@ from .errors import (
 )
 from .losses import LossSpec, schedule_tau
 
+_GEN_FIELDS = {"paired": ("n", "p"), "unpaired": ("n",),
+               "labeled-bipartite": ("n_per_cluster", "k", "p_prime", "within_scale")}
+
 
 def _cmd_gen(args) -> int:
     cfg = storage.load_json(args.config)
@@ -33,6 +36,9 @@ def _cmd_gen(args) -> int:
     kind = cfg.get("kind")
     if kind not in storage.DATASET_KINDS:
         raise InvalidInput(f"kind: must be one of {storage.DATASET_KINDS}, got {kind!r}")
+    unknown = set(cfg) - {"kind", "out", "model", "seed", *_GEN_FIELDS[kind]}
+    if unknown:
+        raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
     out = args.out or cfg.get("out")
     if not out or not isinstance(out, str):
         raise InvalidInput("an output directory is required (--out or config 'out')")

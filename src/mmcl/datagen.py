@@ -181,14 +181,6 @@ class PairedDataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def d1(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def d2(self) -> int:
-        return self.xt.shape[1]
-
 
 def _derangement(rng: np.random.Generator, idx: np.ndarray) -> np.ndarray:
     """Random permutation of idx with no fixed point (idx has length != 1)."""
@@ -200,19 +192,31 @@ def _derangement(rng: np.random.Generator, idx: np.ndarray) -> np.ndarray:
             return cand
 
 
-def _sample_latents_and_noise(params: ModelParams, n: int, rng: np.random.Generator):
-    w = draw_coordinates(rng, (n, params.r), params.family)
-    noise1 = draw_coordinates(rng, (n, params.d1), params.family) @ _psd_sqrt(params.sigma_xi).T
-    noise2 = draw_coordinates(rng, (n, params.d2), params.family) @ _psd_sqrt(params.sigma_xit).T
-    return w, noise1, noise2
-
-
-def _observations(params: ModelParams, w: np.ndarray, wt: np.ndarray, noise1, noise2):
-    z = w * np.sqrt(params.sigma_z)
-    zt = wt * np.sqrt(params.sigma_zt)
-    x = z @ params.u1_star.T + noise1
-    xt = zt @ params.u2_star.T + noise2
+def _observations(params: ModelParams, w: np.ndarray, wt: np.ndarray, rng: np.random.Generator):
+    """Both modalities of latents w and wt, each plus noise drawn here, x's first."""
+    n, family = w.shape[0], params.family
+    noise1 = draw_coordinates(rng, (n, params.d1), family) @ _psd_sqrt(params.sigma_xi).T
+    noise2 = draw_coordinates(rng, (n, params.d2), family) @ _psd_sqrt(params.sigma_xit).T
+    x = (w * np.sqrt(params.sigma_z)) @ params.u1_star.T + noise1
+    xt = (wt * np.sqrt(params.sigma_zt)) @ params.u2_star.T + noise2
     return x, xt
+
+
+def _matched(params: ModelParams, rng: np.random.Generator, truth: np.ndarray,
+             observed: np.ndarray, distortion: float, meta: dict) -> PairedDataset:
+    """One row per truth edge in each modality; xt row j shares x row i's latent for (i, j)."""
+    w = draw_coordinates(rng, (truth.shape[0], params.r), params.family)
+    wt = np.empty_like(w)
+    wt[truth[:, 1]] = w[truth[:, 0]]
+    x, xt = _observations(params, w, wt, rng)
+    return PairedDataset(
+        x=x,
+        xt=xt,
+        observed_edges=observed.astype(np.int64),
+        truth_edges=truth[np.lexsort((truth[:, 1], truth[:, 0]))].astype(np.int64),
+        distortion=float(distortion),
+        meta=meta,
+    )
 
 
 def sample_paired(params: ModelParams, n: int, p: float, seed=0) -> PairedDataset:
@@ -235,29 +239,10 @@ def sample_paired(params: ModelParams, n: int, p: float, seed=0) -> PairedDatase
     order = rng.permutation(n)
     kept = np.sort(order[:m])
     broken = np.sort(order[m:])
-    partners = _derangement(rng, broken)
-
-    w, noise1, noise2 = _sample_latents_and_noise(params, n, rng)
-    wt = np.empty_like(w)
-    wt[kept] = w[kept]
-    wt[partners] = w[broken]
-    x, xt = _observations(params, w, wt, noise1, noise2)
-
-    truth = np.concatenate(
-        [np.stack([kept, kept], axis=1), np.stack([broken, partners], axis=1)]
-    )
-    truth = truth[np.lexsort((truth[:, 1], truth[:, 0]))]
-    observed = np.stack([np.arange(n), np.arange(n)], axis=1)
-    distortion = 1.0 - m / n
+    truth = np.concatenate([np.stack([kept, kept], axis=1),
+                            np.stack([broken, _derangement(rng, broken)], axis=1)])
     meta = {"kind": "paired", "seed_repr": repr(seed), "target_p": float(p)}
-    return PairedDataset(
-        x=x,
-        xt=xt,
-        observed_edges=observed.astype(np.int64),
-        truth_edges=truth.astype(np.int64),
-        distortion=float(distortion),
-        meta=meta,
-    )
+    return _matched(params, rng, truth, np.stack([np.arange(n)] * 2, axis=1), 1.0 - m / n, meta)
 
 
 def sample_unpaired(params: ModelParams, n: int, seed=0) -> PairedDataset:
@@ -270,22 +255,9 @@ def sample_unpaired(params: ModelParams, n: int, seed=0) -> PairedDataset:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidInput(f"need at least 2 samples, got {n!r}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    w, noise1, noise2 = _sample_latents_and_noise(params, n, rng)
-    wt = np.empty_like(w)
-    wt[perm] = w
-    x, xt = _observations(params, w, wt, noise1, noise2)
-    truth = np.stack([np.arange(n), perm], axis=1)
-    truth = truth[np.lexsort((truth[:, 1], truth[:, 0]))]
+    truth = np.stack([np.arange(n), rng.permutation(n)], axis=1)
     meta = {"kind": "unpaired", "seed_repr": repr(seed)}
-    return PairedDataset(
-        x=x,
-        xt=xt,
-        observed_edges=np.empty((0, 2), dtype=np.int64),
-        truth_edges=truth.astype(np.int64),
-        distortion=1.0,
-        meta=meta,
-    )
+    return _matched(params, rng, truth, np.empty((0, 2)), 1.0, meta)
 
 
 @dataclass(frozen=True)
@@ -349,9 +321,7 @@ def sample_labeled_bipartite(
 
     w = centers[labels] + within_scale * draw_coordinates(rng, (n, params.r), params.family)
     wt = centers[labels] + within_scale * draw_coordinates(rng, (n, params.r), params.family)
-    noise1 = draw_coordinates(rng, (n, params.d1), params.family) @ _psd_sqrt(params.sigma_xi).T
-    noise2 = draw_coordinates(rng, (n, params.d2), params.family) @ _psd_sqrt(params.sigma_xit).T
-    x, xt = _observations(params, w, wt, noise1, noise2)
+    x, xt = _observations(params, w, wt, rng)
 
     edges = []
     for lo in range(0, n, _EDGE_BLOCK_ROWS):  # rng.random fills in C order: one (n, n) stream

@@ -381,6 +381,9 @@ class TestMalformedInputs:
          "within_scale"),
         ("paired", {"n": 10, "model": "m"}, "model"),
         ("paired", {"n": 10, "model": dict(MODEL, r=True)}, "model.r"),
+        ("paired", {"n": 10, "pp": 0.5}, "unknown config fields"),
+        ("unpaired", {"n": 10, "seeds": [1, 2]}, "unknown config fields"),
+        ("labeled-bipartite", {"n_per_cluster": 5, "k": 2, "n": 10}, "unknown config fields"),
     ])
     def test_bad_gen_field_exits_2(self, tmp_path, capsys, kind, fields, field):
         cfg = write_config(tmp_path, "g.json", dict({"kind": kind, "model": MODEL}, **fields))
@@ -388,6 +391,16 @@ class TestMalformedInputs:
         code, err = self.run(capsys, ["gen", "--config", cfg, "--out", str(out)])
         assert code == CONFIG_EXIT_CODE
         assert err.startswith(f"error: {field}:")
+        assert not out.exists()
+
+    def test_unknown_gen_fields_are_named(self, tmp_path, capsys):
+        # Misspelt p and seed would otherwise write a clean dataset with seed 0.
+        cfg = write_config(tmp_path, "g.json", {"kind": "paired", "model": MODEL, "n": 10,
+                                                "pp": 0.5, "sed": 3, "out": "ignored"})
+        out = tmp_path / "data"
+        code, err = self.run(capsys, ["gen", "--config", cfg, "--out", str(out)])
+        assert code == CONFIG_EXIT_CODE
+        assert err == "error: unknown config fields: ['pp', 'sed']\n"
         assert not out.exists()
 
     def test_unknown_option_exits_2(self, tmp_path, capsys):

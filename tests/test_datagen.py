@@ -1,5 +1,8 @@
 """Synthetic data generation: shared-latent pairs, pools, labeled graphs."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,28 @@ class TestRandomModel:
             datagen.random_model(4, 3, 2, decay=1.5)
         with pytest.raises(InvalidInput):
             datagen.random_model(4, 3, 2, family="laplace")
+
+
+class TestModelParamsChecks:
+    BASE = datagen.random_model(6, 5, 3, snr=2.0, decay=0.5, seed=0)
+
+    @pytest.mark.parametrize("name,value,error,fragment", [
+        ("u1_star", np.zeros((6, 0)), InvalidRank, "latent dimension must be at least 1"),
+        ("u2_star", np.eye(5)[:, :2], InvalidInput, "u2_star must have shape (5, 3)"),
+        ("u1_star", 2.0 * np.eye(6)[:, :3], InvalidInput, "u1_star must have orthonormal columns"),
+        ("sigma_z", np.ones(2), InvalidInput, "sigma_z must be a length-3 vector"),
+        ("sigma_zt", np.array([1.0, 0.5, 0.0]), InvalidInput, "sigma_zt entries must be positive"),
+        ("sigma_z", np.array([1.0, 0.5, 0.7]), InvalidInput, "sigma_z entries must be nonincreasing"),
+        ("sigma_zt", np.array([0.9, 0.5, 0.2]), InvalidInput, "sigma_zt must have operator norm 1"),
+        ("sigma_xi", np.eye(5), InvalidInput, "sigma_xi must have shape (6, 6)"),
+        ("sigma_xit", np.triu(np.ones((5, 5))), InvalidInput, "sigma_xit must be symmetric"),
+    ])
+    def test_rejects(self, name, value, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            dataclasses.replace(self.BASE, **{name: value})
+
+    def test_a_valid_change_passes(self):
+        assert dataclasses.replace(self.BASE, family="uniform").r == 3
 
 
 class TestDrawCoordinates:

@@ -151,6 +151,11 @@ class TestSinTheta:
         u2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         assert linalg.sin_theta(u1, u2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
+    def test_rejects_bases_of_different_shapes(self):
+        e = np.eye(4)
+        with pytest.raises(InvalidInput, match=r"subspace shapes differ: \(4, 2\) vs \(4, 3\)"):
+            linalg.sin_theta(e[:, :2], e[:, :3])
+
     def test_accepts_subspace_objects(self):
         sub = linalg.right_singular_subspace(np.diag([3.0, 2.0, 1.0]), 2)
         assert linalg.sin_theta(sub, np.eye(3)[:, :2]) < 1e-12

@@ -199,6 +199,13 @@ class TestSimilarityMatrix:
 
 
 class TestLossValue:
+    def test_input_checks(self):
+        x, xt, enc = random_instance(2)
+        with pytest.raises(InvalidInput, match="equally many samples per modality"):
+            losses.loss_value(LossSpec.linear(), enc, (x, xt[:-1]))
+        with pytest.raises(InvalidInput, match="data must expose x and xt arrays"):
+            losses.loss_value(LossSpec.linear(), enc, {"x": x, "xt": xt})
+
     def test_loop_oracle_linear(self):
         x, xt, enc = random_instance(2)
         spec = LossSpec.linear(rho=0.7)

@@ -175,6 +175,17 @@ class TestGradientDescent:
             solvers.fit_gradient_descent(
                 LossSpec.clip(tau=0.5, nu=1.0), ds, 2, lr=-0.1)
 
+    def test_input_checks(self):
+        ds = datagen.sample_paired(datagen.random_model(6, 5, 2, seed=2), 10, 0.0, seed=3)
+        spec = LossSpec.linear()
+        with pytest.raises(InvalidInput, match="max_iter must be nonnegative"):
+            solvers.fit_gradient_descent(spec, ds, 2, max_iter=-1)
+        with pytest.raises(InvalidRank, match="rank 6 not representable"):
+            solvers.fit_gradient_descent(spec, ds, 6)
+        with pytest.raises(InvalidInput, match="init encoders do not match"):
+            solvers.fit_gradient_descent(spec, ds, 2,
+                                         init=EncoderPair(np.ones((2, 5)), np.ones((2, 5))))
+
     def test_accepts_initialization(self):
         model = datagen.random_model(6, 5, 2, snr=2.0, seed=2)
         ds = datagen.sample_paired(model, 40, 0.0, seed=3)
@@ -539,6 +550,11 @@ class TestSemisupervised:
                / np.linalg.norm(paired.product))
         assert rel < 1e-8
 
+    def test_unknown_init_mode(self):
+        ds = datagen.sample_paired(datagen.random_model(6, 5, 2, seed=0), 10, 0.0, seed=1)
+        with pytest.raises(InvalidInput, match="init_mode must be 'linear' or 'infonce'"):
+            solvers.fit_semisupervised(ds, ds, 2, LossSpec.clip(tau=1.0), init_mode="bogus")
+
     def test_infonce_anchor_descent_stops_in_tens_of_steps(self, monkeypatch):
         # Criterion 5's shapes at its seed 0. The halving descent of be3697d
         # ran all 2000 steps and ended at 0.6459853788454923.
@@ -704,6 +720,12 @@ class TestSsclBaseline:
         assert np.all(fit.product == 0.0)
         assert "degenerate-masked-covariance" in fit.flags
         assert "degenerate-gap" in fit.flags
+
+    def test_sample_checks(self):
+        with pytest.raises(InvalidInput, match="need at least 2 samples"):
+            solvers.fit_sscl_baseline(np.ones((1, 4)), 2)
+        with pytest.raises(DegenerateData, match="all samples identical"):
+            solvers.fit_sscl_baseline(np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)), 2)
 
     def test_mode_validation(self):
         x = np.random.default_rng(0).standard_normal((10, 4))
