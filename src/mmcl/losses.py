@@ -7,18 +7,16 @@ encoder product. Identity transforms give the linear loss; log/exp with
 epsilon=1 gives the CLIP loss; log/exp with epsilon=0 gives InfoNCE.
 
 Weight tables (alpha, alpha-bar, beta) express any loss in this family as
-a weighted contrast between observed pairs and cross pairs. No table is
-built here (tests/oracle.py builds them densely, as the reference): each
-quantity has one route. One _paired_pass gives the loss value and gradient
-of every spec: row i of an alpha table is a scale times a fixed table E,
-exp(sims / tau - shift) from one _softmax_sums pass for psi exp, and 1 off
-the diagonal with epsilon on it, never built, for psi identity. An unpaired
-pool's contrast comes from unpaired_weights and contrastive_cross_covariance;
-its similarity is never stored: PoolSimilarity keeps its two rank-r factors
-and rebuilds row blocks, once for an extrema scan that the edge estimator and
-the weights share and once for the contrast, which streams them through the
-same _softmax_sums. That kernel takes one exponential per entry, or two, one
-shifted per row and one per column, for a table too spread for one shift.
+a weighted contrast between observed pairs and cross pairs; no table is built
+here (tests/oracle.py builds them densely, as the reference). One _paired_pass
+gives every spec's value and gradient: row i of an alpha table is a scale times
+a table E, exp(sims / tau - shift) streamed in row blocks for psi exp, and 1
+off the diagonal and epsilon on it, never built, for psi identity. An unpaired
+pool's similarity is never stored: PoolSimilarity keeps its rank-r factors and
+rebuilds row blocks for an extrema scan that estimate_edges and unpaired_weights
+share, and for contrastive_cross_covariance. Both modes stream their blocks
+through one _softmax_sums kernel: one exponential per entry, or a second pass
+with two for a table too spread for one shift.
 """
 
 import numbers
@@ -33,7 +31,7 @@ from .errors import InvalidInput, NonFinite
 PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
 CN_RULES = ("n(n-1)", "n")
-_BLOCK_ROWS = 64  # rows per block of a PoolSimilarity
+_BLOCK_ENTRIES = 1 << 18  # 2 MiB of float64 per row block, about an L2 cache
 _SHARED_RANGE = 600.0  # exp(-600) ~ 1e-261: a row or column sum stays a normal number
 
 
@@ -157,6 +155,11 @@ class EncoderPair:
         return self.g1.T @ self.g2
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block: _BLOCK_ENTRIES entries in whole 16-row tiles, at least 64."""
+    return max(64, _BLOCK_ENTRIES // max(width, 1) // 16 * 16)
+
+
 def similarity_matrix(enc: EncoderPair, x, xt) -> np.ndarray:
     """Inner products of encoded samples, PoolSimilarity.encode(enc, x, xt).dense()."""
     return PoolSimilarity.encode(enc, x, xt).dense()
@@ -176,6 +179,7 @@ class PoolSimilarity:
     def __init__(self, a: np.ndarray, bt: np.ndarray | None = None):
         self.a, self.bt = a, bt
         self.shape = (a.shape[0], a.shape[1] if bt is None else bt.shape[1])
+        self.rows = _block_rows(self.shape[1])
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # the extrema scan reports inf / nan
@@ -197,18 +201,18 @@ class PoolSimilarity:
         if self.bt is None:
             return self.a
         out = np.empty(self.shape)
-        for lo in range(0, self.shape[0], _BLOCK_ROWS):
-            np.matmul(self.a[lo:lo + _BLOCK_ROWS], self.bt, out=out[lo:lo + _BLOCK_ROWS])
+        for lo in range(0, self.shape[0], self.rows):
+            np.matmul(self.a[lo:lo + self.rows], self.bt, out=out[lo:lo + self.rows])
         return out
 
     @np.errstate(over="ignore", invalid="ignore")  # the extrema scan reports inf / nan
     def block(self, lo: int) -> np.ndarray:
-        """Rows lo to lo + _BLOCK_ROWS: a new array, or a view of a dense table."""
-        rows = self.a[lo:lo + _BLOCK_ROWS]
+        """Rows lo to lo + self.rows: a new array, or a view of a dense table."""
+        rows = self.a[lo:lo + self.rows]
         return rows if self.bt is None else rows @ self.bt
 
     def blocks(self):
-        return ((lo, self.block(lo)) for lo in range(0, self.shape[0], _BLOCK_ROWS))
+        return ((lo, self.block(lo)) for lo in range(0, self.shape[0], self.rows))
 
     @cached_property
     def extrema(self):
@@ -303,43 +307,54 @@ def contrastive_cross_covariance(weights: UnpairedWeights, x, xt, c_n: str) -> n
     if weights.sims.shape != (x.shape[0], xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
-    blocks = ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
+    blocks = lambda: ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
     (_, row_sum, right), (_, col_sum, left) = _softmax_sums(
-        blocks, weights.row_max, weights.col_max, x, xt)
+        blocks, weights.sims.shape, x, xt, weights.row_max, weights.col_max)
     pool = 0.5 * (x.T @ (right / row_sum[:, None]) + left @ (xt / col_sum[:, None]))
     return (weights.nu * pair_term - pool) / cn
 
 
-def _softmax_sums(blocks, row_max, col_max, x=None, xt=None):
+def _softmax_sums(blocks, shape, x=None, xt=None, row_max=None, col_max=None):
     """Row sums of E and column sums of F, and E @ xt and x.T @ F when x and xt
-    are given, from one pass over the (lo, block) row blocks of a score table z,
-    each block overwritten; row_max and col_max are z's row and column maxima.
-
-    If c = max(z) is finite and every row and column maximum lies within
-    _SHARED_RANGE of it, E = F = exp(z - c), one exponential per entry.
-    Otherwise E = exp(z - row max) and F = exp(z - column max), so every sum is
-    at least 1 at any range. Returns (row shift, E @ 1, E @ xt) and (column
-    shift, 1 @ F, x.T @ F): log (E @ 1)_i + row shift_i is the log-sum-exp of
-    z's row i, and so for columns.
+    are given, from one pass over the row blocks (lo, block) of an n x m table z
+    that blocks() yields in order, each overwritten. If c = max(z) is finite
+    and every row and column maximum lies within _SHARED_RANGE of it, E = F =
+    exp(z - c), one exponential per entry; else E = exp(z - row max) and
+    F = exp(z - column max), every sum at least 1. Given z's maxima, the pass
+    decides first. Without, c is the largest entry so far, the sums are
+    rescaled by exp(old c - new c) as it rises (Milakov & Gimelshein's online
+    softmax), and maxima out of range take a second pass. Returns (row shift,
+    E @ 1, E @ xt) and (column shift, 1 @ F, x.T @ F): log (E @ 1)_i + row
+    shift_i is the log-sum-exp of z's row i.
     """
-    c = np.max(row_max)
-    shared = np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
-    n, m = len(row_max), len(col_max)
+    (n, m), running = shape, row_max is None
+    if running:
+        row_max, col_max, c = np.empty(n), np.full(m, -np.inf), -np.inf
+    fits = lambda c: np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
+    shared = running or fits(c := np.max(row_max))
     ones = np.ones(max(n, m))
     row_sum, col_sum, right, left = np.empty(n), np.zeros(m), None, None
     if x is not None:
         right, left = np.empty((n, xt.shape[1])), np.zeros((x.shape[1], m))
-    for lo, e in blocks:
+    for lo, e in blocks():
         rows = slice(lo, lo + e.shape[0])
-        f = e if shared else np.subtract(e, col_max)  # taken before e is overwritten
-        if not shared:
-            np.exp(f, out=f)  # in place, so that beside E there is one table, F
+        if running:
+            row_max[rows] = np.max(e, axis=1)
+            np.maximum(col_max, np.max(e, axis=0), out=col_max)
+            if (top := np.max(row_max[rows])) > c:  # rescale the sums taken so far
+                for acc in (row_sum[:lo], col_sum) + (() if x is None else (right[:lo], left)):
+                    acc *= np.exp(c - top)
+                c = top
+        f = e if shared else np.exp(f := e - col_max, out=f)  # F, taken before E overwrites e
         np.exp(np.subtract(e, c if shared else row_max[rows, None], out=e), out=e)
         row_sum[rows] = e @ ones[:m]
         col_sum += ones[:e.shape[0]] @ f
         if x is not None:
             right[rows] = e @ xt
             left += x[rows].T @ f
+        del e, f  # before the next block is built
+    if running and not fits(c):
+        return _softmax_sums(blocks, shape, x, xt, row_max, col_max)
     return (c if shared else row_max, row_sum, right), (c if shared else col_max, col_sum, left)
 
 
@@ -356,29 +371,34 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning
 def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
                  want_gradient: bool):
-    """(loss without its ridge, contrast p = x.T W xt or None) from one
-    similarity matrix; x and xt are validated 2-D arrays. With want_gradient
-    a log aggregate outside its domain raises NonFinite.
+    """(loss without its ridge, contrast p = x.T W xt or None) from one pass
+    over the similarity matrix; x and xt are validated 2-D arrays. With
+    want_gradient a log aggregate outside its domain raises NonFinite.
 
     The row-anchored alpha table is a_i E_ij and the transposed column one
     E_ij b_j: for psi exp E = exp(sims / tau - shift), log epsilon added on its
-    diagonal, from one _softmax_sums pass (sims becomes E); for psi identity E
-    is 1 off the diagonal and epsilon on it, so E xt = 1 (1 @ xt) - (1 - eps) xt
-    and the aggregates are anchored row and column sums of sims. With R = E @ 1
-    and C = 1 @ E, p = ((a x).T E xt + x.T E (b xt) - x.T (nu (a R + b C) xt)) / 2cn.
+    diagonal, from one _softmax_sums pass over row blocks that similarity_matrix
+    builds; for psi identity E is 1 off the diagonal and epsilon on it, so
+    E xt = 1 (1 @ xt) - (1 - eps) xt and the aggregates are anchored row and
+    column sums of sims. With R = E @ 1, C = 1 @ E, and a, b over 2cn so that no
+    product outgrows p, p = (a x).T E xt + x.T E (b xt) - x.T (nu (a R + b C) xt).
     """
-    sims = similarity_matrix(enc, x, xt)
-    n = sims.shape[0]
-    if n != sims.shape[1]:
+    n = x.shape[0]
+    if n != xt.shape[0]:
         raise InvalidInput("paired loss needs equally many samples per modality")
     cn = c_n_value(spec.cn, n)
     totals, scales = [], []
     if spec.psi == "exp":
-        sims /= spec.tau
-        anchor = spec.nu * np.diag(sims)
-        np.einsum("ii->i", sims)[...] += np.log(spec.epsilon)
-        sides = _softmax_sums([(0, sims)], np.max(sims, axis=1), np.max(sims, axis=0),
-                              *((x, xt) if want_gradient else ()))
+        anchor, rows = np.empty(n), _block_rows(n)
+        def blocks():  # row blocks of sims / tau, log epsilon added to entries (i, i)
+            for lo in range(0, n, rows):
+                z = similarity_matrix(enc, x[lo:lo + rows], xt)
+                z /= spec.tau
+                anchor[lo:lo + rows] = spec.nu * z.flat[lo::n + 1]  # the entries (i, i)
+                z.flat[lo::n + 1] += np.log(spec.epsilon)
+                yield lo, z
+                del z  # freed before the next block is built
+        sides = _softmax_sums(blocks, (n, n), *((x, xt) if want_gradient else ()))
         for shift, total, _ in sides:
             lse = np.log(total) + (shift - anchor)
             if spec.phi == "identity":  # the aggregate itself, e^lse
@@ -389,7 +409,7 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
             totals.append(spec.tau * agg)
             scales.append(np.exp(lse - agg) / total)
     else:
-        eps = spec.epsilon
+        sims, eps = similarity_matrix(enc, x, xt), spec.epsilon
         anchor = (1.0 - eps + spec.nu * (n - 1 + eps)) * np.diag(sims)
         for agg in (np.sum(sims, axis=1) - anchor, np.sum(sims, axis=0) - anchor):
             arg = 1.0 + agg if spec.phi == "log1p" else agg
@@ -404,10 +424,10 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
     loss = (np.sum(totals[0]) + np.sum(totals[1])) / (2.0 * cn)
     if not want_gradient:
         return loss, None
-    (a, b), ((_, row_sum, right), (_, col_sum, left)) = scales, sides
+    (a, b), ((_, row_sum, right), (_, col_sum, left)) = (s / (2.0 * cn) for s in scales), sides
     diag = spec.nu * (a * row_sum + b * col_sum)
     p = (a[:, None] * x).T @ right + left @ (b[:, None] * xt) - x.T @ (diag[:, None] * xt)
-    return loss, p / (2.0 * cn)
+    return loss, p
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf / nan, no warning

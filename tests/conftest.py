@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
+
+from mmcl import losses
 
 
 def random_orthonormal(rng, d, r):
@@ -58,3 +61,10 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def rows64(monkeypatch):
+    """Row blocks of 64 rows at every width, so that small tables span several
+    blocks and a ragged last one (the default rule sizes blocks by entries)."""
+    monkeypatch.setattr(losses, "_block_rows", lambda width: 64)

@@ -471,16 +471,17 @@ class TestMalformedInputs:
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("fit,value,stage", [
-        (["gd"], "1e308", "gradient not finite"),
+        (["gd"], "1e308", "step loss not finite for any step size"),
         (["gd"], "1e300", "step loss not finite for any step size"),
-        (["gd", "--phi", "log", "--psi", "exp", "--cn", "n"], "1e308", "gradient not finite"),
-        (["semi", "--unpaired", "pool", "--init", "infonce"], "1e308", "gradient not finite")],
+        (["gd", "--phi", "log", "--psi", "exp", "--cn", "n"], "1e308",
+         "step loss not finite for any step size"),
+        (["semi", "--unpaired", "pool", "--init", "infonce"], "1e308",
+         "step loss not finite for any step size")],
         ids=["gd", "gd-1e300", "gd-softmax", "semi-infonce"])
     def test_every_step_overflowing_exits_3(self, tmp_path, capsys, fit, value, stage):
-        # Row 66 of x.csv alone is 1e308 or 1e300: the initial loss is
-        # finite. At 1e308 the first gradient already overflows. At 1e300 it
-        # is finite, but the linear loss after every step size overflows, so
-        # the descent cannot move.
+        # Row 66 of x.csv alone is 1e308 or 1e300: the initial loss and the
+        # first gradient are finite, but the loss after every step size
+        # overflows, so the descent cannot move.
         data = gen_paired(tmp_path, n=70)
         pool = gen_paired(tmp_path, n=70, subdir="pool")
         overflow_row(tmp_path / "paired", names=("x.csv",), value=value)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmcl import losses, solvers
+from mmcl import datagen, losses, solvers
 from mmcl.errors import InvalidInput, NonFinite
 from mmcl.losses import EncoderPair, LossSpec
 
@@ -387,7 +387,7 @@ class TestComputeWeights:
 
 
 class TestUnpairedWeights:
-    def test_full_support_symmetrized_softmax(self):
+    def test_full_support_symmetrized_softmax(self, rows64):
         rng = np.random.default_rng(9)
         sims = rng.standard_normal((5, 5))
         edges = np.array([[0, 1], [2, 2]])
@@ -396,7 +396,6 @@ class TestUnpairedWeights:
         assert np.array_equal(w.edges, edges)
         assert w.nu == 2.0
         # Several row blocks with a ragged last one, on a non-square table.
-        assert 700 > 2 * losses._BLOCK_ROWS and 700 % losses._BLOCK_ROWS
         sims = 3.0 * np.random.default_rng(19).standard_normal((700, 530))
         w = losses.unpaired_weights(sims, tau=0.4, nu=1.5, edges=[[0, 0], [699, 529]])
         beta = streamed_table(w)
@@ -409,7 +408,7 @@ class TestUnpairedWeights:
         ((5, 17), -np.inf),      # a lone -inf leaves every column max finite
         ((300, 0), np.inf),
     ])
-    def test_non_finite_entry_rejected(self, where, value):
+    def test_non_finite_entry_rejected(self, rows64, where, value):
         sims = np.random.default_rng(23).standard_normal((700, 530))
         sims[where] = value
         with warnings.catch_warnings():
@@ -490,7 +489,7 @@ class TestContrastiveCrossCovariance:
 
     @pytest.mark.parametrize("n,m,nu", [(70, 45, 1.0), (70, 45, 2.0), (130, 64, 2.0),
                                         (64, 130, 1.0), (65, 3, 2.0)])
-    def test_streamed_unpaired_loop_oracle(self, n, m, nu):
+    def test_streamed_unpaired_loop_oracle(self, rows64, n, m, nu):
         # Ragged last blocks (of one row at n = 65), non-square pools, and a
         # pool of exactly one block.
         rng = np.random.default_rng(n * m)
@@ -511,7 +510,7 @@ class TestContrastiveCrossCovariance:
         assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("nu", [1.0, 2.0])
-    def test_streamed_unpaired_matches_dense_product(self, nu):
+    def test_streamed_unpaired_matches_dense_product(self, rows64, nu):
         # The parent route, x.T @ (beta @ xt) on the dense table, to 1e-14
         # relative: 700 rows span ten full blocks and a ragged one.
         rng = np.random.default_rng(26)
@@ -561,13 +560,15 @@ def pool_instance(seed, n=700, m=530, d1=12, d2=9, scale=3.0):
     return x, xt, sims, edges
 
 
-def exp_entries(monkeypatch):
-    """Wrap np.exp; return the list of the sizes of the arrays it is given."""
+def exp_entries(monkeypatch, ndim=None):
+    """Wrap np.exp; return the list of the sizes of the arrays it is given, or
+    of those with ndim dimensions."""
     sizes = []
     original = np.exp
 
     def counted(a, *args, **kwargs):
-        sizes.append(np.size(a))
+        if ndim is None or np.ndim(a) == ndim:
+            sizes.append(np.size(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counted)
@@ -579,7 +580,7 @@ class TestSharedPoolExponential:
     per entry, shifted per row and per column, when the pool is too spread."""
 
     @pytest.mark.parametrize("n,m", [(700, 530), (65, 3)])
-    def test_fallback_route_matches_dense_oracle(self, monkeypatch, n, m):
+    def test_fallback_route_matches_dense_oracle(self, monkeypatch, rows64, n, m):
         x, xt, sims, edges = pool_instance(n + m + 1, n=n, m=m)
         w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
         monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
@@ -588,8 +589,8 @@ class TestSharedPoolExponential:
         assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
 
     @pytest.mark.parametrize("n,m", [(700, 530), (530, 700), (65, 3)])
-    def test_shared_route_matches_dense_oracle(self, n, m):
-        assert n % losses._BLOCK_ROWS
+    def test_shared_route_matches_dense_oracle(self, rows64, n, m):
+        assert n % 64
         x, xt, sims, edges = pool_instance(n + m, n=n, m=m)
         w = losses.unpaired_weights(sims, tau=0.4, nu=1.5, edges=edges)
         out = losses.contrastive_cross_covariance(w, x, xt, "n(n-1)")
@@ -661,6 +662,7 @@ def factored_pool(seed, n, m, r=5, ties=False):
     return src, src.dense()
 
 
+@pytest.mark.usefixtures("rows64")
 class TestPoolSimilarity:
     """A factored pool gives the results of its dense table bit for bit."""
 
@@ -766,6 +768,23 @@ class TestLossGradient:
             assert np.abs(r1).max() < 1e-10
             assert np.abs(r2).max() < 1e-10
 
+    def test_huge_row_leaves_the_gradient_finite(self):
+        # Row 66 of a 70-row x at 1e308: the linear loss's contrast p is
+        # linear in x, so it is 2^1000 times the oracle's at x / 2^1000, near
+        # 1e305, and no product on the way to it may overflow.
+        rng = np.random.default_rng(66)
+        x, xt = rng.standard_normal((70, 6)), rng.standard_normal((70, 5))
+        x[66] = 1e308
+        enc = solvers._random_encoders(1, 6, 5, 0)
+        spec = LossSpec.linear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, grads = losses._value_and_gradient(spec, enc, x, xt)
+        _, contrast, ridge = dense_oracle(spec, enc, x * 2.0 ** -1000, xt)
+        for grad, c, r in zip(grads, contrast, ridge):
+            assert np.all(np.isfinite(grad))
+            assert np.abs(grad - (r - 2.0 ** 1000 * c)).max() <= 1e-12 * np.abs(grad).max()
+
     def test_zero_data_zero_encoders_zero_gradient(self):
         enc = EncoderPair(g1=np.zeros((2, 3)), g2=np.zeros((2, 4)))
         data = (np.zeros((5, 3)), np.zeros((5, 4)))
@@ -834,9 +853,10 @@ def dense_oracle(spec, enc, x, xt):
 
 class TestSharedExponential:
     """Every paired loss takes its value and contrast from one _paired_pass.
-    psi-exp losses take both tables from one _softmax_sums pass: one
-    exp(sims / tau - c) per entry, or two, shifted per row and per column, when
-    the table is too spread for one shift. psi-identity losses take none."""
+    psi-exp losses take both tables from one _softmax_sums pass over row blocks
+    of sims / tau at a running shift: one exp(sims / tau - c) per entry, and for
+    a table too spread for one shift a second pass with two, shifted per row
+    and per column. psi-identity losses take none."""
 
     @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
@@ -851,12 +871,14 @@ class TestSharedExponential:
         enc = EncoderPair(g1=0.3 * enc.g1, g2=0.3 * enc.g2)
         spec = LossSpec(phi=phi, psi="exp", epsilon=epsilon, nu=nu, tau=tau, cn=cn, rho=0.6)
         value, contrast, ridge = dense_oracle(spec, enc, x, xt)
-        for per_entry, shared_range in ((1, losses._SHARED_RANGE), (2, -np.inf)):
+        for entries, shared_range in (((1, 1), losses._SHARED_RANGE), ((2, 3), -np.inf)):
             monkeypatch.setattr(losses, "_SHARED_RANGE", shared_range)
-            sizes = exp_entries(monkeypatch)
+            sizes = exp_entries(monkeypatch, ndim=2)
             got = losses.loss_value(spec, enc, (x, xt))
+            assert entries[0] * n * n <= sum(sizes) <= entries[1] * n * n  # table entries
+            sizes.clear()
             same, grads = losses._value_and_gradient(spec, enc, x, xt)
-            assert sizes.count(n * n) == 2 * per_entry  # two passes
+            assert entries[0] * n * n <= sum(sizes) <= entries[1] * n * n
             assert got == same  # the value pass and the gradient pass agree bit for bit
             assert abs(got - value) <= 1e-12 * abs(value)
             for grad, c, r in zip(grads, contrast, ridge):
@@ -920,28 +942,26 @@ class TestSharedExponential:
             assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
 
     def test_peak_memory_holds_one_table(self):
-        # E overwrites the similarity matrix, or only its row and column sums
-        # are read; beside it only n x 2d arrays. Smoothed InfoNCE, the
-        # linear loss and phi identity with psi exp.
-        import tracemalloc
+        # psi exp: E overwrites each row block of sims / tau as it is built,
+        # and a block is freed before the next; beside it only O(n d) arrays.
+        # psi identity (the linear loss) reads the row and column sums of one
+        # similarity matrix.
         n = 1200
         x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
         enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
-        for spec in (LossSpec.infonce(tau=0.5, smoothed=True), LossSpec.linear(),
-                     LossSpec(phi="identity", psi="exp", tau=0.5, cn="n")):
-            tracemalloc.start()
-            try:
-                losses.loss_gradient(spec, enc, (x, xt))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * n * n * 8, spec
+        block = losses._block_rows(n) * n * 8
+        assert block < n * n * 8 / 5
+        for spec, bound in ((LossSpec.infonce(tau=0.5, smoothed=True), block + 64 * n * 8),
+                            (LossSpec.linear(), 1.25 * n * n * 8),
+                            (LossSpec(phi="identity", psi="exp", tau=0.5, cn="n"),
+                             block + 64 * n * 8)):
+            assert traced_peak(losses.loss_gradient, spec, enc, (x, xt)) <= bound, spec
 
     @pytest.mark.parametrize("tau", [0.01, 1e-3])
     def test_two_shift_peak_holds_two_tables(self, tau):
-        # Out of one shared exponential's range, E overwrites the similarity
-        # matrix and F, exponentiated in place, is the one other n x n table.
-        import tracemalloc
+        # Out of one shared exponential's range, the second pass's E
+        # overwrites each block and F, exponentiated in place, is the one
+        # other block.
         n = 1200
         x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
         enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
@@ -949,13 +969,84 @@ class TestSharedExponential:
         edge = min(z.max(axis=1).min(), z.max(axis=0).min())
         assert edge < z.max() - losses._SHARED_RANGE  # the two-shift route
         del z
-        tracemalloc.start()
-        try:
-            losses.loss_gradient(LossSpec.clip(tau=tau), enc, (x, xt))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * n * n * 8
+        peak = traced_peak(losses.loss_gradient, LossSpec.clip(tau=tau), enc, (x, xt))
+        assert peak <= (2 * losses._block_rows(n) + 64) * n * 8
+
+    @pytest.mark.parametrize("shared_range", ["default", "forced two-shift"])
+    def test_n_6400_pass_holds_no_table(self, monkeypatch, shared_range):
+        # A 6400 x 6400 table is 312.5 MiB; one value-and-gradient pass of
+        # smoothed InfoNCE at infonce-gd's shape stays under 40 MiB.
+        if shared_range != "default":
+            monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
+        model = datagen.random_model(40, 40, 16, snr=1 / 0.3, seed=0)
+        data = datagen.sample_paired(model, 6400, 0.2, seed=0)
+        enc = solvers._random_encoders(16, 40, 40, 0)
+        spec = LossSpec.infonce(tau=0.5, smoothed=True)
+        peak = traced_peak(losses._value_and_gradient, spec, enc, data.x, data.xt)
+        assert peak <= 40 * 2**20
+
+    @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_running_shift_matches_dense_oracle(self, monkeypatch, phi, order):
+        # Rows of x scaled up (rising) or down (falling) the table: the largest
+        # entry of sims / tau lies in the last of seven 16-row blocks, so the
+        # shift rises at every block, or in the first, so it never rises.
+        monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
+        n = 100
+        x, xt, enc = random_instance(60, n=n, d1=5, d2=4, r=3)
+        ramp = np.geomspace(0.2, 2.0, n)
+        x *= (ramp if order == "rising" else ramp[::-1])[:, None]
+        spec = LossSpec(phi=phi, psi="exp", epsilon=0.5, nu=1.5, tau=0.5, cn="n", rho=0.6)
+        z = losses.similarity_matrix(enc, x, xt) / spec.tau
+        tops = np.maximum.accumulate([z[lo:lo + 16].max() for lo in range(0, n, 16)])
+        assert z.max() - min(z.max(axis=1).min(), z.max(axis=0).min()) < losses._SHARED_RANGE
+        if order == "rising":
+            assert np.all(np.diff(tops) > 0)
+        else:
+            assert np.all(tops == tops[0])
+        value, contrast, ridge = dense_oracle(spec, enc, x, xt)
+        sizes = exp_entries(monkeypatch, ndim=2)
+        got = losses.loss_value(spec, enc, (x, xt))
+        same, grads = losses._value_and_gradient(spec, enc, x, xt)
+        assert sum(sizes) == 2 * n * n  # one exponential per entry and pass
+        assert got == same
+        assert abs(got - value) <= 1e-12 * abs(value)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+
+    def test_spread_table_takes_the_two_shift_pass(self, monkeypatch):
+        # At tau 1e-3 the row and column maxima of sims / tau spread far beyond
+        # one shift's range: the running pass is followed by the exact one.
+        monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
+        n = 100
+        x, xt, enc = random_instance(61, n=n, d1=5, d2=4, r=3)
+        spec = LossSpec.clip(tau=1e-3, nu=2.0)
+        z = losses.similarity_matrix(enc, x, xt) / spec.tau
+        assert z.max() - min(z.max(axis=1).min(), z.max(axis=0).min()) > losses._SHARED_RANGE
+        value, contrast, ridge = dense_oracle(spec, enc, x, xt)
+        sizes = exp_entries(monkeypatch, ndim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = losses.loss_value(spec, enc, (x, xt))
+            same, grads = losses._value_and_gradient(spec, enc, x, xt)
+        assert sum(sizes) == 2 * 3 * n * n  # n^2 in the running pass, 2 n^2 in the exact one
+        assert got == same
+        assert abs(got - value) <= 1e-12 * abs(value)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak over one call of fn(*args), in bytes."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=15, deadline=None)

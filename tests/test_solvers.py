@@ -321,19 +321,19 @@ class TestOnePassDescent:
         assert len(calls) == fit.iterations + halvings + 2
 
     @pytest.mark.parametrize("tau", [0.5, 1e-6])
-    def test_one_similarity_matrix_per_softmax_candidate(self, monkeypatch, tau):
+    def test_one_paired_pass_per_softmax_candidate(self, monkeypatch, tau):
         # At tau 1e-6 the rows of sims / tau spread far beyond the shared
-        # exponential's range in the first 8 steps; no pass at either tau
-        # takes the anchored route.
+        # exponential's range in the first 8 steps, so each pass streams the
+        # table twice; no pass at either tau takes the anchored route.
         data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
                                      seed=3)
         spec = LossSpec.clip(tau=tau)
         kwargs = dict(lr=0.5, max_iter=8, tol=0.0)
         _, halvings, _ = two_pass_descent(spec, data, 2, **kwargs)
-        sims_calls = count_calls(monkeypatch, losses, "similarity_matrix")
+        passes = count_calls(monkeypatch, losses, "_paired_pass")
         fit = solvers.fit_gradient_descent(spec, data, 2, **kwargs)
         assert fit.iterations > 0
-        assert len(sims_calls) == fit.iterations + halvings + 2
+        assert len(passes) == fit.iterations + halvings + 2
 
     def test_spread_descent_equals_forced_two_shift_descent(self, monkeypatch):
         data = datagen.sample_paired(datagen.random_model(6, 5, 2, snr=2.0, seed=2), 40, 0.0,
@@ -456,7 +456,7 @@ def estimate_edges_by_sets(sims):
 
 
 class TestEstimateEdges:
-    def test_matches_set_based_pool(self):
+    def test_matches_set_based_pool(self, rows64):
         # Gaussian and tie-heavy integer tables, square sizes 1 to 300,
         # which spans several argmax row blocks.
         rng = np.random.default_rng(16)
@@ -502,8 +502,7 @@ class TestEstimateEdges:
         ((50, 50), np.inf),
         ((64, 0), np.nan),       # first row of the ragged last scan block
     ])
-    def test_non_finite_entry_rejected(self, where, value):
-        assert 100 % losses._BLOCK_ROWS
+    def test_non_finite_entry_rejected(self, rows64, where, value):
         sims = np.random.default_rng(17).standard_normal((100, 100))
         sims[where] = value
         with pytest.raises(InvalidInput, match="non-finite"):
@@ -517,7 +516,7 @@ class TestEstimateEdges:
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("n", [1, 97, 131, 200])
-    def test_factored_pool_matches_its_dense_table(self, n, ties):
+    def test_factored_pool_matches_its_dense_table(self, rows64, n, ties):
         # Sizes that are no multiple of the 64-row block (nor of 32), and
         # integer factors whose products tie.
         rng = np.random.default_rng(n)
@@ -625,6 +624,8 @@ class TestSemisupervised:
     def test_each_pool_block_is_built_twice(self, monkeypatch):
         # Once for the extrema scan that estimate_edges and unpaired_weights
         # share, once for the contrast; the pool table itself is never built.
+        # Blocks of 96 x 300 entries: three full ones and a ragged last one.
+        monkeypatch.setattr(losses, "_BLOCK_ENTRIES", 100 * 300)
         model = datagen.random_model(12, 10, 3, snr=2.0, seed=0)
         ds = datagen.sample_paired(model, 60, 0.0, seed=(29, 1))
         pool = datagen.sample_unpaired(model, 300, seed=(29, 2))
@@ -632,11 +633,12 @@ class TestSemisupervised:
         block = losses.PoolSimilarity.block
         monkeypatch.setattr(losses.PoolSimilarity, "block",
                             lambda self, lo: built.append(lo) or block(self, lo))
-        dense = losses.PoolSimilarity.dense  # the paired closing loss builds its table
+        dense = losses.PoolSimilarity.dense  # the paired closing loss builds its blocks
         monkeypatch.setattr(losses.PoolSimilarity, "dense", lambda self: dense(self)
                             if self.shape != (300, 300) else pytest.fail("pool table built"))
         solvers.fit_semisupervised(ds, pool, 3, LossSpec.clip(tau=0.5, nu=2.0))
-        assert sorted(built) == sorted(2 * list(range(0, 300, losses._BLOCK_ROWS)))
+        assert losses._block_rows(300) == 96
+        assert sorted(built) == sorted(2 * list(range(0, 300, 96)))
 
     @pytest.mark.parametrize("tau", [None, 0.7, 1e-3])  # schedule, fixed, fallback route
     def test_factored_fit_matches_the_dense_route(self, tau):
