@@ -18,17 +18,15 @@ from .errors import InvalidInput, InvalidK
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Weighted bipartite graph given as an edge list.
+    """Unweighted bipartite graph given as an edge list.
 
-    edges is an (m, 2) integer array of (left, right) endpoints; weights
-    default to 1. Duplicate edges are rejected so that edge weights are
-    unambiguous.
+    edges is an (m, 2) integer array of (left, right) endpoints. Duplicate
+    edges are rejected, so every edge has weight 1.
     """
 
     n_left: int
     n_right: int
     edges: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -43,27 +41,15 @@ class BipartiteGraph:
             keys = edges[:, 0] * self.n_right + edges[:, 1]
             if linalg.sorted_unique(keys).shape[0] != keys.shape[0]:
                 raise InvalidInput("duplicate edges")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-            if w.shape[0] != edges.shape[0]:
-                raise InvalidInput("weights must match the edge count")
-            if np.any(~np.isfinite(w)) or np.any(w < 0):
-                raise InvalidInput("weights must be finite and nonnegative")
-            object.__setattr__(self, "weights", w)
 
     @property
     def m(self) -> int:
         return self.edges.shape[0]
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_left, self.n_right))
-        a[self.edges[:, 0], self.edges[:, 1]] = 1.0 if self.weights is None else self.weights
-        return a
-
     def degrees(self):
-        """Left and right weighted degrees, summed over the edge list."""
-        d_left = np.bincount(self.edges[:, 0], weights=self.weights, minlength=self.n_left)
-        d_right = np.bincount(self.edges[:, 1], weights=self.weights, minlength=self.n_right)
+        """Left and right degrees, counted over the edge list."""
+        d_left = np.bincount(self.edges[:, 0], minlength=self.n_left)
+        d_right = np.bincount(self.edges[:, 1], minlength=self.n_right)
         return d_left.astype(np.float64), d_right.astype(np.float64)
 
 
@@ -75,11 +61,11 @@ def _inv_sqrt(d: np.ndarray) -> np.ndarray:
 
 
 def normalized_adjacency(graph: BipartiteGraph) -> np.ndarray:
-    """D_left^(-1/2) A D_right^(-1/2), with zero-degree rows/columns left at zero."""
+    """D_left^(-1/2) A D_right^(-1/2): 1 / sqrt(d_i d_j) at each edge (i, j), zero elsewhere."""
     d_left, d_right = graph.degrees()
-    a = graph.adjacency()
-    a *= _inv_sqrt(d_left)[:, None]
-    a *= _inv_sqrt(d_right)[None, :]
+    left, right = graph.edges[:, 0], graph.edges[:, 1]
+    a = np.zeros((graph.n_left, graph.n_right))
+    a[left, right] = _inv_sqrt(d_left)[left] * _inv_sqrt(d_right)[right]
     return a
 
 

@@ -198,8 +198,6 @@ class PoolSimilarity:
     @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf / nan, no warning
     def dense(self) -> np.ndarray:
         """The whole table, each row block written in place as block() builds it."""
-        if self.bt is None:
-            return self.a
         out = np.empty(self.shape)
         for lo in range(0, self.shape[0], self.rows):
             np.matmul(self.a[lo:lo + self.rows], self.bt, out=out[lo:lo + self.rows])
@@ -372,16 +370,18 @@ def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
 def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray,
                  want_gradient: bool):
     """(loss without its ridge, contrast p = x.T W xt or None) from one pass
-    over the similarity matrix; x and xt are validated 2-D arrays. With
-    want_gradient a log aggregate outside its domain raises NonFinite.
+    over the data; x and xt are validated 2-D arrays. With want_gradient a log
+    aggregate outside its domain raises NonFinite.
 
     The row-anchored alpha table is a_i E_ij and the transposed column one
     E_ij b_j: for psi exp E = exp(sims / tau - shift), log epsilon added on its
     diagonal, from one _softmax_sums pass over row blocks that similarity_matrix
     builds; for psi identity E is 1 off the diagonal and epsilon on it, so
     E xt = 1 (1 @ xt) - (1 - eps) xt and the aggregates are anchored row and
-    column sums of sims. With R = E @ 1, C = 1 @ E, and a, b over 2cn so that no
-    product outgrows p, p = (a x).T E xt + x.T E (b xt) - x.T (nu (a R + b C) xt).
+    column sums of sims = xp @ xt.T, xp = x @ enc.product, which is not built:
+    xp @ (1 @ xt), xt @ (1 @ xp) and its diagonal (xp * xt) @ 1. With R = E @ 1,
+    C = 1 @ E, and a, b over 2cn so that no product outgrows p,
+    p = (a x).T E xt + x.T E (b xt) - x.T (nu (a R + b C) xt).
     """
     n = x.shape[0]
     if n != xt.shape[0]:
@@ -409,9 +409,9 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
             totals.append(spec.tau * agg)
             scales.append(np.exp(lse - agg) / total)
     else:
-        sims, eps = similarity_matrix(enc, x, xt), spec.epsilon
-        anchor = (1.0 - eps + spec.nu * (n - 1 + eps)) * np.diag(sims)
-        for agg in (np.sum(sims, axis=1) - anchor, np.sum(sims, axis=0) - anchor):
+        xp, eps = x @ enc.product, spec.epsilon
+        anchor = (1.0 - eps + spec.nu * (n - 1 + eps)) * np.sum(xp * xt, axis=1)
+        for agg in (xp @ np.sum(xt, axis=0) - anchor, xt @ np.sum(xp, axis=0) - anchor):
             arg = 1.0 + agg if spec.phi == "log1p" else agg
             if want_gradient and spec.phi != "identity" and np.any(arg <= 0):
                 raise NonFinite("log of a nonpositive aggregate" if spec.phi == "log"

@@ -184,8 +184,8 @@ def _int_columns(path: str, rows: list, width: int, bounds: tuple = ()) -> np.nd
 
 def _read_ints(path: str, width: int, bounds: tuple = ()) -> np.ndarray:
     """The first width cells of each nonblank line of an integer CSV file as
-    int64, but its header, an optional first line whose first cell is not an
-    integer.
+    int64, but its header, an optional first line whose first cell is not a
+    number (float() refuses it): a first row like 0.5,1 is data, and rejected.
 
     A shorter row, a non-integer cell, or a value of column c outside
     [0, bounds[c]) raises InvalidInput naming the file and the line.
@@ -195,7 +195,7 @@ def _read_ints(path: str, width: int, bounds: tuple = ()) -> np.ndarray:
     start = next((i for i, ln in enumerate(lines) if ln.strip()), len(lines))
     if start < len(lines):
         try:
-            int(lines[start].strip().split(",")[0])  # the rule applied to each data cell
+            float(lines[start].strip().split(",")[0])
         except ValueError:
             start += 1
     body, arr = lines[start:], None

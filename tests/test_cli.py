@@ -348,6 +348,17 @@ class TestMalformedInputs:
         assert code == CONFIG_EXIT_CODE
         assert f"{path} line 3" in err
 
+    @pytest.mark.parametrize("first", ["0.5,1", "1e3,1"])
+    def test_numeric_first_row_of_headerless_edge_file_exits_2(self, tmp_path, capsys, first):
+        # Such a row is data with a non-integer index, not a header to skip.
+        path = tmp_path / "e.csv"
+        path.write_text(first + "\n0,1\n1,0\n")
+        code, err = self.run(capsys, ["bsgmp", "--edges", str(path), "--k", "2",
+                                      "--out", str(tmp_path / "p")])
+        assert code == CONFIG_EXIT_CODE
+        assert f"{path} line 1: non-integer cell" in err
+        assert not (tmp_path / "p").exists()
+
     def test_bad_integer_option_exits_2(self, tmp_path, capsys):
         argv = self.exp(tmp_path, "bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]},
                         dict(self.BSGMP_OPTIONS, restarts="x"))

@@ -944,15 +944,15 @@ class TestSharedExponential:
     def test_peak_memory_holds_one_table(self):
         # psi exp: E overwrites each row block of sims / tau as it is built,
         # and a block is freed before the next; beside it only O(n d) arrays.
-        # psi identity (the linear loss) reads the row and column sums of one
-        # similarity matrix.
+        # psi identity (the linear loss) reads the row and column sums of the
+        # similarity matrix from x @ enc.product and builds no table at all.
         n = 1200
         x, xt, enc = random_instance(40, n=n, d1=8, d2=8, r=4)
         enc = EncoderPair(g1=0.5 * enc.g1, g2=0.5 * enc.g2)
         block = losses._block_rows(n) * n * 8
         assert block < n * n * 8 / 5
         for spec, bound in ((LossSpec.infonce(tau=0.5, smoothed=True), block + 64 * n * 8),
-                            (LossSpec.linear(), 1.25 * n * n * 8),
+                            (LossSpec.linear(), 64 * n * 8),
                             (LossSpec(phi="identity", psi="exp", tau=0.5, cn="n"),
                              block + 64 * n * 8)):
             assert traced_peak(losses.loss_gradient, spec, enc, (x, xt)) <= bound, spec
@@ -972,16 +972,18 @@ class TestSharedExponential:
         peak = traced_peak(losses.loss_gradient, LossSpec.clip(tau=tau), enc, (x, xt))
         assert peak <= (2 * losses._block_rows(n) + 64) * n * 8
 
-    @pytest.mark.parametrize("shared_range", ["default", "forced two-shift"])
-    def test_n_6400_pass_holds_no_table(self, monkeypatch, shared_range):
+    @pytest.mark.parametrize("case", ["default", "forced two-shift", "psi identity"])
+    def test_n_6400_pass_holds_no_table(self, monkeypatch, case):
         # A 6400 x 6400 table is 312.5 MiB; one value-and-gradient pass of
-        # smoothed InfoNCE at infonce-gd's shape stays under 40 MiB.
-        if shared_range != "default":
+        # smoothed InfoNCE, or of the linear loss, at infonce-gd's shape stays
+        # under 40 MiB.
+        if case == "forced two-shift":
             monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
         model = datagen.random_model(40, 40, 16, snr=1 / 0.3, seed=0)
         data = datagen.sample_paired(model, 6400, 0.2, seed=0)
         enc = solvers._random_encoders(16, 40, 40, 0)
-        spec = LossSpec.infonce(tau=0.5, smoothed=True)
+        spec = (LossSpec.linear() if case == "psi identity"
+                else LossSpec.infonce(tau=0.5, smoothed=True))
         peak = traced_peak(losses._value_and_gradient, spec, enc, data.x, data.xt)
         assert peak <= 40 * 2**20
 

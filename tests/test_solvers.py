@@ -302,17 +302,10 @@ class TestOnePassDescent:
         if name == "no-iterations":
             assert fit.iterations == 0 and fit.trace == [fit.final_loss]
 
-    def test_one_similarity_matrix_per_candidate(self, monkeypatch):
+    def test_one_paired_pass_per_identity_candidate(self, monkeypatch):
         spec, data, r, kwargs = oracle_case("psi-identity-log")
         _, halvings, _ = two_pass_descent(spec, data, r, **kwargs)
-        calls = []
-        original = losses.similarity_matrix
-
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(losses, "similarity_matrix", counted)
+        calls = count_calls(monkeypatch, losses, "_paired_pass")
         fit = solvers.fit_gradient_descent(spec, data, r, **kwargs)
         assert fit.flags == () and halvings > 0
         # one value and one gradient at the start, then one pass per

@@ -1,9 +1,11 @@
-"""Source guard: every private top-level name of the package is used in the package."""
+"""Source guards: every private top-level name of the package is used in the
+package, and every flag it emits is documented in the README."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mmcl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mmcl"
 
 
 def _defined(stmt) -> list[str]:
@@ -60,3 +62,49 @@ def test_guard_flags_unused_helpers():
                 "def f():\n    return _used() + a._Kept.__name__.count('x')\n",
     }
     assert dead_helpers(sources) == ["a.py:_SPARE", "a.py:_loop"]
+
+
+def emitted_flags(sources: dict[str, str]) -> set[str]:
+    """The flag literals the package emits: a string appended to a list named
+    flags, or a tuple element, string or f-string bound to a name or keyword
+    named flags. An f-string's replacement fields read as "<"."""
+    found = set()
+
+    def add(value):
+        if isinstance(value, ast.JoinedStr):
+            found.add("".join(v.value if isinstance(v, ast.Constant) else "<"
+                              for v in value.values))
+        nodes = [value] + [e for n in ast.walk(value) if isinstance(n, (ast.Tuple, ast.List))
+                           for e in n.elts]
+        found.update(n.value for n in nodes
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "flags"):
+                add(node.args[0])
+            elif isinstance(node, ast.keyword) and node.arg == "flags":
+                add(node.value)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "flags" for t in node.targets):
+                add(node.value)
+    return found
+
+
+def test_readme_names_every_emitted_flag():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    flags = emitted_flags(sources)
+    assert {"degenerate-gap", "no-progress", "converged", "failed:<"} <= flags
+    section = (ROOT / "README.md").read_text().split("\n## Flags\n")[1].split("\n## ")[0]
+    missing = [f for f in sorted(flags)
+               if f"`{f}" + ("" if f.endswith("<") else "`") not in section]
+    assert missing == []
+
+
+def test_flag_scan_reads_appends_tuples_and_fstrings():
+    sources = {"a.py": "flags = ('x',) if a else ()\nflags = flags + ('y',)\n"
+                       "flags.append('z')\nf(flags=f'w:{e}')\nflags = d.pop('_k', '')\n"
+                       "other.append('no')\n"}
+    assert emitted_flags(sources) == {"x", "y", "z", "w:<"}

@@ -265,6 +265,15 @@ class TestReadEdgeCsv:
         path.write_text(first + "\n2,2\n0,0\n3,4\n", encoding="utf-8")
         assert storage.read_edge_csv(str(path)).tolist() == [[0, 1], [2, 2], [0, 0], [3, 4]]
 
+    @pytest.mark.parametrize("first", ["0.5,1", "1e3,1", "-2.5e-3,0", "inf,1", "nan,0"])
+    def test_numeric_first_row_is_data_and_rejected(self, tmp_path, first):
+        # A first cell that float() reads is no header: the row is data, and a
+        # non-integer index is reported, not skipped.
+        path = tmp_path / "e.csv"
+        path.write_text(first + "\n0,1\n1,0\n")
+        with pytest.raises(InvalidInput, match=f"{path} line 1: non-integer cell"):
+            storage.read_edge_csv(str(path))
+
     def test_empty_file_gives_empty_edges(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
