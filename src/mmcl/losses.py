@@ -15,8 +15,8 @@ off the diagonal and epsilon on it, never built, for psi identity. An unpaired
 pool's similarity is never stored: PoolSimilarity keeps its rank-r factors and
 rebuilds row blocks for an extrema scan that estimate_edges and unpaired_weights
 share, and for contrastive_cross_covariance. Both modes stream their blocks
-through one _softmax_sums kernel: one exponential per entry, or a second pass
-with two for a table too spread for one shift.
+through one _softmax_sums kernel at a shift fixed before the pass: one
+exponential per entry, or two for a table too spread for one shift.
 """
 
 import numbers
@@ -306,54 +306,42 @@ def contrastive_cross_covariance(weights: UnpairedWeights, x, xt, c_n: str) -> n
         raise InvalidInput("weight table does not match the data shape")
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
     blocks = lambda: ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
+    row_max, col_max, c = weights.row_max, weights.col_max, np.max(weights.row_max)
+    fits = np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
     (_, row_sum, right), (_, col_sum, left) = _softmax_sums(
-        blocks, weights.sims.shape, x, xt, weights.row_max, weights.col_max)
+        blocks, weights.sims.shape, c if fits else (row_max, col_max), x, xt)
     pool = 0.5 * (x.T @ (right / row_sum[:, None]) + left @ (xt / col_sum[:, None]))
     return (weights.nu * pair_term - pool) / cn
 
 
-def _softmax_sums(blocks, shape, x=None, xt=None, row_max=None, col_max=None):
+def _softmax_sums(blocks, shape, shift, x=None, xt=None):
     """Row sums of E and column sums of F, and E @ xt and x.T @ F when x and xt
     are given, from one pass over the row blocks (lo, block) of an n x m table z
-    that blocks() yields in order, each overwritten. If c = max(z) is finite
-    and every row and column maximum lies within _SHARED_RANGE of it, E = F =
-    exp(z - c), one exponential per entry; else E = exp(z - row max) and
-    F = exp(z - column max), every sum at least 1. Given z's maxima, the pass
-    decides first. Without, c is the largest entry so far, the sums are
-    rescaled by exp(old c - new c) as it rises (Milakov & Gimelshein's online
-    softmax), and maxima out of range take a second pass. Returns (row shift,
-    E @ 1, E @ xt) and (column shift, 1 @ F, x.T @ F): log (E @ 1)_i + row
-    shift_i is the log-sum-exp of z's row i.
+    that blocks() yields in order, each overwritten. The shift is fixed before
+    the pass: a number c at or above every entry of z gives E = F = exp(z - c),
+    one exponential per entry; the pair (row maxima, column maxima) of z gives
+    E = exp(z - row max) and F = exp(z - column max), two per entry, every sum
+    at least 1 and exact at any range. Returns (row shift, E @ 1, E @ xt) and
+    (column shift, 1 @ F, x.T @ F): log (E @ 1)_i + row shift_i is the
+    log-sum-exp of z's row i.
     """
-    (n, m), running = shape, row_max is None
-    if running:
-        row_max, col_max, c = np.empty(n), np.full(m, -np.inf), -np.inf
-    fits = lambda c: np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
-    shared = running or fits(c := np.max(row_max))
+    (n, m), shared = shape, not isinstance(shift, tuple)
+    row_shift, col_shift = (shift, shift) if shared else shift
     ones = np.ones(max(n, m))
     row_sum, col_sum, right, left = np.empty(n), np.zeros(m), None, None
     if x is not None:
         right, left = np.empty((n, xt.shape[1])), np.zeros((x.shape[1], m))
     for lo, e in blocks():
         rows = slice(lo, lo + e.shape[0])
-        if running:
-            row_max[rows] = np.max(e, axis=1)
-            np.maximum(col_max, np.max(e, axis=0), out=col_max)
-            if (top := np.max(row_max[rows])) > c:  # rescale the sums taken so far
-                for acc in (row_sum[:lo], col_sum) + (() if x is None else (right[:lo], left)):
-                    acc *= np.exp(c - top)
-                c = top
-        f = e if shared else np.exp(f := e - col_max, out=f)  # F, taken before E overwrites e
-        np.exp(np.subtract(e, c if shared else row_max[rows, None], out=e), out=e)
+        f = e if shared else np.exp(f := e - col_shift, out=f)  # F, taken before E overwrites e
+        np.exp(np.subtract(e, shift if shared else row_shift[rows, None], out=e), out=e)
         row_sum[rows] = e @ ones[:m]
         col_sum += ones[:e.shape[0]] @ f
         if x is not None:
             right[rows] = e @ xt
             left += x[rows].T @ f
         del e, f  # before the next block is built
-    if running and not fits(c):
-        return _softmax_sums(blocks, shape, x, xt, row_max, col_max)
-    return (c if shared else row_max, row_sum, right), (c if shared else col_max, col_sum, left)
+    return (row_shift, row_sum, right), (col_shift, col_sum, left)
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
@@ -374,9 +362,11 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
     aggregate outside its domain raises NonFinite.
 
     The row-anchored alpha table is a_i E_ij and the transposed column one
-    E_ij b_j: for psi exp E = exp(sims / tau - shift), log epsilon added on its
+    E_ij b_j: for psi exp E = exp(sims / tau - c), log epsilon added on its
     diagonal, from one _softmax_sums pass over row blocks that similarity_matrix
-    builds; for psi identity E is 1 off the diagonal and epsilon on it, so
+    builds from g1 / tau, c the product of the two factors' largest row norms;
+    if a sum ends below exp(-_SHARED_RANGE), a maxima pass and a two-shift pass
+    follow. For psi identity E is 1 off the diagonal and epsilon on it, so
     E xt = 1 (1 @ xt) - (1 - eps) xt and the aggregates are anchored row and
     column sums of sims = xp @ xt.T, xp = x @ enc.product, which is not built:
     xp @ (1 @ xt), xt @ (1 @ xp) and its diagonal (xp * xt) @ 1. With R = E @ 1,
@@ -389,16 +379,26 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
     cn = c_n_value(spec.cn, n)
     totals, scales = [], []
     if spec.psi == "exp":
-        anchor, rows = np.empty(n), _block_rows(n)
+        if not np.all(np.isfinite(g1 := enc.g1 / spec.tau)):  # no block; solvers reject nan
+            return np.nan, np.full((x.shape[1], xt.shape[1]), np.nan) if want_gradient else None
+        scaled, anchor, rows = EncoderPair(g1, enc.g2), np.empty(n), _block_rows(n)
         def blocks():  # row blocks of sims / tau, log epsilon added to entries (i, i)
             for lo in range(0, n, rows):
-                z = similarity_matrix(enc, x[lo:lo + rows], xt)
-                z /= spec.tau
+                z = similarity_matrix(scaled, x[lo:lo + rows], xt)
                 anchor[lo:lo + rows] = spec.nu * z.flat[lo::n + 1]  # the entries (i, i)
                 z.flat[lo::n + 1] += np.log(spec.epsilon)
                 yield lo, z
                 del z  # freed before the next block is built
-        sides = _softmax_sums(blocks, (n, n), *((x, xt) if want_gradient else ()))
+        c = np.prod([np.max(np.linalg.norm(a, axis=1)) for a in (x @ g1.T, xt @ enc.g2.T)])
+        data = (x, xt) if want_gradient else ()
+        sides = _softmax_sums(blocks, (n, n), c, *data)  # Cauchy-Schwarz: c bounds every entry
+        if not np.min(np.minimum(sides[0][1], sides[1][1])) >= np.exp(-_SHARED_RANGE):
+            row_max, col_max = np.empty(n), np.full(n, -np.inf)  # exact maxima, then two shifts
+            for lo, z in blocks():
+                row_max[lo:lo + z.shape[0]] = np.max(z, axis=1)
+                np.maximum(col_max, np.max(z, axis=0), out=col_max)
+                del z  # freed before the next block is built
+            sides = _softmax_sums(blocks, (n, n), (row_max, col_max), *data)
         for shift, total, _ in sides:
             lse = np.log(total) + (shift - anchor)
             if spec.phi == "identity":  # the aggregate itself, e^lse

@@ -560,18 +560,20 @@ def pool_instance(seed, n=700, m=530, d1=12, d2=9, scale=3.0):
     return x, xt, sims, edges
 
 
-def exp_entries(monkeypatch, ndim=None):
-    """Wrap np.exp; return the list of the sizes of the arrays it is given, or
-    of those with ndim dimensions."""
+def np_sizes(monkeypatch, name, ndim=None):
+    """Wrap np.<name>; return the list of the sizes of the arrays it is given
+    first, or of those with ndim dimensions."""
     sizes = []
-    original = np.exp
+    original = getattr(np, name)
 
     def counted(a, *args, **kwargs):
         if ndim is None or np.ndim(a) == ndim:
             sizes.append(np.size(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", counted)
+    if isinstance(original, np.ufunc):  # np.max reduces through np.maximum.reduce
+        counted.reduce = original.reduce
+    monkeypatch.setattr(np, name, counted)
     return sizes
 
 
@@ -603,7 +605,7 @@ class TestSharedPoolExponential:
         x, xt, sims, edges = pool_instance(52)
         if route == "fallback":
             monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
-        sizes = exp_entries(monkeypatch)
+        sizes = np_sizes(monkeypatch, "exp")
         w = losses.unpaired_weights(sims, tau=0.4, nu=2.0, edges=edges)
         assert sizes == []
         assert losses.contrastive_cross_covariance(w, x, xt, "n").shape == (12, 9)
@@ -626,7 +628,7 @@ class TestSharedPoolExponential:
     @staticmethod
     def check_exact_route(monkeypatch, x, xt, sims, edges):
         dense = dense_contrast(x, xt, sims, 0.5, 2.0, edges, 150.0)
-        sizes = exp_entries(monkeypatch)
+        sizes = np_sizes(monkeypatch, "exp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
@@ -854,9 +856,12 @@ def dense_oracle(spec, enc, x, xt):
 class TestSharedExponential:
     """Every paired loss takes its value and contrast from one _paired_pass.
     psi-exp losses take both tables from one _softmax_sums pass over row blocks
-    of sims / tau at a running shift: one exp(sims / tau - c) per entry, and for
-    a table too spread for one shift a second pass with two, shifted per row
-    and per column. psi-identity losses take none."""
+    of sims / tau at a shift c fixed before it, the product of the largest row
+    norms of the two factors: one exp(sims / tau - c) per entry. When a row or
+    column sum ends out of range, because c is too loose or the table too
+    spread, a pass for the exact maxima and a pass with two exponentials per
+    entry, shifted per row and per column, follow. psi-identity losses take
+    none."""
 
     @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
@@ -873,7 +878,7 @@ class TestSharedExponential:
         value, contrast, ridge = dense_oracle(spec, enc, x, xt)
         for entries, shared_range in (((1, 1), losses._SHARED_RANGE), ((2, 3), -np.inf)):
             monkeypatch.setattr(losses, "_SHARED_RANGE", shared_range)
-            sizes = exp_entries(monkeypatch, ndim=2)
+            sizes = np_sizes(monkeypatch, "exp", ndim=2)
             got = losses.loss_value(spec, enc, (x, xt))
             assert entries[0] * n * n <= sum(sizes) <= entries[1] * n * n  # table entries
             sizes.clear()
@@ -903,7 +908,7 @@ class TestSharedExponential:
         spec = LossSpec(phi=phi, psi="identity", epsilon=epsilon, nu=nu, tau=tau, cn=cn,
                         rho=0.6)
         value, contrast, ridge = dense_oracle(spec, enc, x, x.copy())
-        sizes = exp_entries(monkeypatch)
+        sizes = np_sizes(monkeypatch, "exp")
         got = losses.loss_value(spec, enc, (x, x.copy()))
         same, grads = losses._value_and_gradient(spec, enc, x, x.copy())
         assert sizes.count(n * n) == 0
@@ -989,10 +994,12 @@ class TestSharedExponential:
 
     @pytest.mark.parametrize("phi", ["identity", "log", "log1p"])
     @pytest.mark.parametrize("order", ["rising", "falling"])
-    def test_running_shift_matches_dense_oracle(self, monkeypatch, phi, order):
+    def test_ramped_rows_below_a_fixed_shift_match_dense_oracle(self, monkeypatch, phi,
+                                                                 order):
         # Rows of x scaled up (rising) or down (falling) the table: the largest
-        # entry of sims / tau lies in the last of seven 16-row blocks, so the
-        # shift rises at every block, or in the first, so it never rises.
+        # entry of sims / tau lies in the last of seven 16-row blocks or in the
+        # first, and the rows at the other end lie well below the shift, which
+        # is fixed before the pass and is the same for every block.
         monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
         n = 100
         x, xt, enc = random_instance(60, n=n, d1=5, d2=4, r=3)
@@ -1007,7 +1014,7 @@ class TestSharedExponential:
         else:
             assert np.all(tops == tops[0])
         value, contrast, ridge = dense_oracle(spec, enc, x, xt)
-        sizes = exp_entries(monkeypatch, ndim=2)
+        sizes = np_sizes(monkeypatch, "exp", ndim=2)
         got = losses.loss_value(spec, enc, (x, xt))
         same, grads = losses._value_and_gradient(spec, enc, x, xt)
         assert sum(sizes) == 2 * n * n  # one exponential per entry and pass
@@ -1019,7 +1026,8 @@ class TestSharedExponential:
 
     def test_spread_table_takes_the_two_shift_pass(self, monkeypatch):
         # At tau 1e-3 the row and column maxima of sims / tau spread far beyond
-        # one shift's range: the running pass is followed by the exact one.
+        # one shift's range: some row or column sum of the one-shift pass ends
+        # out of range, and the exact route follows it.
         monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
         n = 100
         x, xt, enc = random_instance(61, n=n, d1=5, d2=4, r=3)
@@ -1027,17 +1035,115 @@ class TestSharedExponential:
         z = losses.similarity_matrix(enc, x, xt) / spec.tau
         assert z.max() - min(z.max(axis=1).min(), z.max(axis=0).min()) > losses._SHARED_RANGE
         value, contrast, ridge = dense_oracle(spec, enc, x, xt)
-        sizes = exp_entries(monkeypatch, ndim=2)
+        sizes = np_sizes(monkeypatch, "exp", ndim=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = losses.loss_value(spec, enc, (x, xt))
             same, grads = losses._value_and_gradient(spec, enc, x, xt)
-        assert sum(sizes) == 2 * 3 * n * n  # n^2 in the running pass, 2 n^2 in the exact one
+        assert sum(sizes) == 2 * 3 * n * n  # n^2 at the one shift, 2 n^2 in the exact route
         assert got == same
         assert abs(got - value) <= 1e-12 * abs(value)
         for grad, c, r in zip(grads, contrast, ridge):
             scale = max(np.abs(c).max(), np.abs(r).max())
             assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+
+    def test_loose_shift_takes_the_exact_route(self, monkeypatch):
+        # Large, nearly orthogonal a_i = x_i and b_j = xt_j at tau 0.02: the
+        # product of the largest row norms lies more than _SHARED_RANGE above
+        # every entry of sims / tau, though the table itself is not spread, so
+        # the sums at that shift end out of range and the exact route follows.
+        n = 12
+        rng = np.random.default_rng(63)
+        x = np.column_stack([8.0 + rng.random(n), 0.1 * rng.standard_normal((n, 2))])
+        xt = np.column_stack([0.1 * rng.standard_normal(n), 8.0 + rng.random(n),
+                              0.1 * rng.standard_normal(n)])
+        enc = EncoderPair(g1=np.eye(3), g2=np.eye(3))
+        spec = LossSpec.clip(tau=0.02, nu=1.5)
+        z = losses.similarity_matrix(enc, x, xt) / spec.tau
+        shift = np.linalg.norm(x, axis=1).max() * np.linalg.norm(xt, axis=1).max() / spec.tau
+        assert shift - z.max() > losses._SHARED_RANGE
+        assert z.max() - min(z.max(axis=1).min(), z.max(axis=0).min()) < losses._SHARED_RANGE
+        value, contrast, ridge = dense_oracle(spec, enc, x, xt)
+        sizes = np_sizes(monkeypatch, "exp", ndim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = losses.loss_value(spec, enc, (x, xt))
+            assert sum(sizes) == 3 * n * n  # n^2 at the loose shift, 2 n^2 in the exact route
+            same, grads = losses._value_and_gradient(spec, enc, x, xt)
+        assert sum(sizes) == 2 * 3 * n * n
+        assert got == same
+        assert abs(got - value) <= 1e-12 * abs(value)
+        for grad, c, r in zip(grads, contrast, ridge):
+            scale = max(np.abs(c).max(), np.abs(r).max())
+            assert np.abs(grad - (r - c)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    def test_shift_bounds_every_entry(self, monkeypatch, epsilon):
+        # The one shift is fixed from the two factors before the pass; at every
+        # seed and encoder scale it lies at or above every entry of sims / tau
+        # and of each block (log epsilon <= 0 only lowers the diagonal).
+        monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
+        shifts, tops, original = [], [], losses._softmax_sums
+
+        def spy(blocks, shape, shift, *data):
+            def watched():
+                for lo, z in blocks():
+                    tops.append(z.max())
+                    yield lo, z
+            if not isinstance(shift, tuple):  # the one-shift pass
+                shifts.append(shift)
+                return original(watched, shape, shift, *data)
+            return original(blocks, shape, shift, *data)
+
+        monkeypatch.setattr(losses, "_softmax_sums", spy)
+        for seed in range(5):
+            for scale in (0.01, 1.0, 30.0):
+                x, xt, enc = random_instance(70 + seed, n=40, d1=5, d2=4, r=3)
+                enc = EncoderPair(g1=scale * enc.g1, g2=enc.g2)
+                spec = LossSpec(phi="log", psi="exp", epsilon=epsilon, tau=0.5, cn="n")
+                shifts.clear(), tops.clear()
+                losses.loss_value(spec, enc, (x, xt))
+                assert len(shifts) == 1 and len(tops) == 3
+                assert shifts[0] >= (losses.similarity_matrix(enc, x, xt) / spec.tau).max()
+                assert max(tops) <= shifts[0]
+
+    @pytest.mark.parametrize("route", ["one shift", "forced two-shift"])
+    def test_one_shift_pass_reduces_no_block(self, monkeypatch, route):
+        # At the one shift a pass takes one exponential per entry and reduces
+        # no block: no 2-D np.max or np.maximum. Forced to two shifts, it takes
+        # 3 n^2, and the exact maxima pass reduces each of 7 blocks twice.
+        monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
+        if route == "forced two-shift":
+            monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
+        n = 100
+        x, xt, enc = random_instance(64, n=n, d1=5, d2=4, r=3)
+        spec = LossSpec.infonce(tau=0.5, smoothed=True)
+        exps = np_sizes(monkeypatch, "exp", ndim=2)
+        maxima = np_sizes(monkeypatch, "max", ndim=2)
+        maximum = np_sizes(monkeypatch, "maximum", ndim=2)
+        losses._value_and_gradient(spec, enc, x, xt)
+        assert maximum == []
+        if route == "one shift":
+            assert sum(exps) == n * n and maxima == []
+        else:
+            assert sum(exps) == 3 * n * n and len(maxima) == 2 * 7
+
+    def test_overflowing_tau_gives_a_nan_pass(self, monkeypatch):
+        # At tau 1e-320 g1 / tau overflows: no block is built and no exponential
+        # taken, and the value and the gradient are nan, which the solvers
+        # report as a gradient not finite.
+        x, xt, enc = random_instance(65, n=10, d1=4, d2=3, r=2)
+        spec = LossSpec.infonce(tau=1e-320, smoothed=True)
+        exps = np_sizes(monkeypatch, "exp")
+        builds = []
+        monkeypatch.setattr(losses, "similarity_matrix", lambda *args: builds.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = losses.loss_value(spec, enc, (x, xt))
+            grads = losses.loss_gradient(spec, enc, (x, xt))
+        assert exps == [] and builds == []
+        assert np.isnan(value)
+        assert all(np.all(np.isnan(grad)) for grad in grads)
 
 
 def traced_peak(fn, *args):
