@@ -38,7 +38,7 @@ class BipartiteGraph:
                 raise InvalidInput("left endpoint out of range")
             if np.any(edges[:, 1] < 0) or np.any(edges[:, 1] >= self.n_right):
                 raise InvalidInput("right endpoint out of range")
-            keys = edges[:, 0] * self.n_right + edges[:, 1]
+            keys = linalg.pair_codes(edges[:, 0], edges[:, 1])
             if linalg.sorted_unique(keys).shape[0] != keys.shape[0]:
                 raise InvalidInput("duplicate edges")
 

@@ -8,9 +8,9 @@ exits 2 when each failure was a configuration error, and 3 otherwise.
 """
 
 import argparse
-import functools
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -24,9 +24,25 @@ from .errors import (
     NumericalError,
 )
 from .losses import LossSpec, schedule_tau
+from .storage import float_option, int_option
 
-_GEN_FIELDS = {"paired": ("n", "p"), "unpaired": ("n",),
-               "labeled-bipartite": ("n_per_cluster", "k", "p_prime", "within_scale")}
+
+_N = partial(int_option, default=None, minimum=2, where="")
+_UNIT = partial(float_option, default=0.0, hi=1.0, lo_open=False, where="")
+
+# kind -> (sampler, {field: parser}); the sampler takes each field by name.
+GEN_KINDS = {
+    "paired": (datagen.sample_paired, {"n": _N, "p": _UNIT}),
+    "unpaired": (datagen.sample_unpaired, {"n": _N}),
+    "labeled-bipartite": (datagen.sample_labeled_bipartite, {
+        "n_per_cluster": partial(int_option, default=None, where=""),
+        "k": partial(int_option, default=None, minimum=2, where=""),
+        "p_prime": _UNIT,
+        "within_scale": partial(float_option, default=0.5, lo_open=False, where="")}),
+}
+
+# How numpy refuses, before it allocates, an array whose size overflows np.intp.
+_UNSIZABLE = ("Maximum allowed", "array is too big", "Python int too large")
 
 
 def _cmd_gen(args) -> int:
@@ -36,31 +52,16 @@ def _cmd_gen(args) -> int:
     kind = cfg.get("kind")
     if kind not in storage.DATASET_KINDS:
         raise InvalidInput(f"kind: must be one of {storage.DATASET_KINDS}, got {kind!r}")
-    unknown = set(cfg) - {"kind", "out", "model", "seed", *_GEN_FIELDS[kind]}
+    sampler, fields = GEN_KINDS[kind]
+    unknown = set(cfg) - {"kind", "out", "model", "seed", *fields}
     if unknown:
         raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
     out = args.out or cfg.get("out")
     if not out or not isinstance(out, str):
         raise InvalidInput("an output directory is required (--out or config 'out')")
     model = harness.model_from_config(cfg.get("model", {}))
-    int_field = functools.partial(storage.int_option, cfg, where="")
-    float_field = functools.partial(storage.float_option, cfg, where="")
-    seed = int_field("seed", 0, minimum=0)
-    if kind == "paired":
-        ds = datagen.sample_paired(model, int_field("n", None, minimum=2),
-                                   float_field("p", 0.0, hi=1.0, lo_open=False),
-                                   seed=seed)
-    elif kind == "unpaired":
-        ds = datagen.sample_unpaired(model, int_field("n", None, minimum=2), seed=seed)
-    else:
-        ds = datagen.sample_labeled_bipartite(
-            model,
-            int_field("n_per_cluster", None),
-            int_field("k", None, minimum=2),
-            float_field("p_prime", 0.0, hi=1.0, lo_open=False),
-            seed=seed,
-            within_scale=float_field("within_scale", 0.5, lo_open=False),
-        )
+    seed = int_option(cfg, "seed", 0, minimum=0, where="")
+    ds = sampler(model, seed=seed, **{name: parse(cfg, name) for name, parse in fields.items()})
     storage.save_dataset(out, ds, model)
     print(f"wrote {kind} dataset ({ds.x.shape[0]} x {ds.x.shape[1]} / "
           f"{ds.xt.shape[0]} x {ds.xt.shape[1]}) to {out}")
@@ -261,7 +262,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT_CODE
-    except MemoryError as exc:
+    except (MemoryError, ValueError, OverflowError) as exc:
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(_UNSIZABLE):
+            raise
         print(f"out of memory: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT_CODE
 

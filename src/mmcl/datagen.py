@@ -317,7 +317,8 @@ def sample_labeled_bipartite(
         if centers.shape != (k, params.r):
             raise InvalidInput(f"centers must have shape ({k}, {params.r})")
     n = k * n_per_cluster
-    labels = np.repeat(np.arange(k), n_per_cluster)
+    # A (k, n_per_cluster) repeat, whose size numpy checks; a 1-D repeat wraps past int64.
+    labels = np.arange(k)[:, None].repeat(n_per_cluster, axis=1).ravel()
 
     w = centers[labels] + within_scale * draw_coordinates(rng, (n, params.r), params.family)
     wt = centers[labels] + within_scale * draw_coordinates(rng, (n, params.r), params.family)

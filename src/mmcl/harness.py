@@ -47,15 +47,6 @@ def downstream_accuracy(enc: EncoderPair, data: datagen.LabeledBipartite) -> flo
     return float(np.mean(data.labels_x == data.labels_xt[pred]))
 
 
-def _pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """One int64 code per (left, right) pair; codes order as the pairs do."""
-    lo_left, lo_right = left.min(), right.min()
-    width = int(right.max()) - int(lo_right) + 1
-    if (int(left.max()) - int(lo_left) + 1) * width > np.iinfo(np.int64).max:
-        raise InvalidInput("pair indices span too wide for int64 codes")
-    return (left - lo_left) * width + (right - lo_right)
-
-
 def sample_partners(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one partner per left node, uniformly among its edges.
 
@@ -67,7 +58,7 @@ def sample_partners(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if not m:
         return np.zeros((0, 2), dtype=np.int64)
     # Codes (left, draw position) sort each node's first draw to its run's front.
-    codes = np.sort(_pair_codes(edges[:, 0].take(perm), np.arange(m)))
+    codes = np.sort(linalg.pair_codes(edges[:, 0].take(perm), np.arange(m)))
     lead = codes // m
     first = codes[np.concatenate(([True], lead[1:] != lead[:-1]))] % m
     return edges.take(perm[first], axis=0)  # take: 10x faster than row indexing here
@@ -79,7 +70,7 @@ def edge_metrics(estimated, truth) -> tuple[float, float]:
     tru = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
     if not tru.shape[0]:
         raise InvalidInput("truth pair set is empty")
-    codes = _pair_codes(*np.concatenate([est, tru]).T)
+    codes = linalg.pair_codes(*np.concatenate([est, tru]).T)
     est, tru = (linalg.sorted_unique(c) for c in np.split(codes, [len(est)]))
     # Both sides are distinct, so each code they share is one hit.
     hit = len(est) + len(tru) - len(linalg.sorted_unique(np.concatenate([est, tru])))
@@ -465,34 +456,20 @@ def _run_one(experiment: str, params: dict, fn) -> MetricRow:
     start = time.perf_counter()
     try:
         metrics = fn()
+        flags = metrics.pop("_flags", "")
     except (MmclError, np.linalg.LinAlgError) as exc:
-        return MetricRow(experiment=experiment, params=params,
-                         metrics={"wall_time": time.perf_counter() - start},
-                         flags=f"failed:{type(exc).__name__}")
-    flags = metrics.pop("_flags", "")
+        metrics = {}
+        flags = f"failed:{type(exc).__name__}"
     metrics["wall_time"] = time.perf_counter() - start
     return MetricRow(experiment=experiment, params=params, metrics=metrics, flags=flags)
 
 
-def _param_names(rows: list[MetricRow]) -> list[str]:
-    names: list[str] = []
-    for row in rows:
-        for key in row.params:
-            if key not in names:
-                names.append(key)
-    return names
-
-
 def write_results(path: str, rows: list[MetricRow]) -> None:
-    params = _param_names(rows)
+    """One line per trial; the parameter columns are the keys all rows of a sweep share."""
+    params = list(rows[0].params) if rows else []
     header = ["experiment"] + params + list(METRIC_NAMES) + ["flags"]
-    table = []
-    for row in rows:
-        cells = [row.experiment]
-        cells += [row.params.get(p) for p in params]
-        cells += [row.metrics.get(m) for m in METRIC_NAMES]
-        cells.append(row.flags)
-        table.append(cells)
+    table = [[row.experiment, *(row.params[p] for p in params),
+              *(row.metrics.get(m) for m in METRIC_NAMES), row.flags] for row in rows]
     storage.write_csv(path, header, table)
 
 
@@ -501,27 +478,17 @@ def summarize(rows: list[MetricRow]):
 
     wall_time is excluded so summaries are run-to-run reproducible.
     """
-    params = [p for p in _param_names(rows) if p != "seed"]
+    params = [p for p in (rows[0].params if rows else ()) if p != "seed"]
     metrics = [m for m in METRIC_NAMES if m != "wall_time"]
     groups: dict[tuple, list[MetricRow]] = {}
-    order = []
     for row in rows:
-        key = tuple(row.params.get(p) for p in params)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    header = list(params)
-    for m in metrics:
-        header += [f"{m}_median", f"{m}_iqr"]
-    header.append("count")
+        groups.setdefault(tuple(row.params[p] for p in params), []).append(row)
+    header = params + [f"{m}_{stat}" for m in metrics for stat in ("median", "iqr")] + ["count"]
     table = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         cells = list(key)
         for m in metrics:
-            vals = [row.metrics[m] for row in members
-                    if m in row.metrics and row.metrics[m] is not None]
+            vals = [row.metrics[m] for row in members if row.metrics.get(m) is not None]
             if vals:
                 arr = np.asarray(vals, dtype=np.float64)
                 cells.append(float(np.median(arr)))

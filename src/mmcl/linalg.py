@@ -43,6 +43,15 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def pair_codes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """One int64 code per (left, right) pair; codes order as the pairs do."""
+    lo_left, lo_right = left.min(), right.min()
+    width = int(right.max()) - int(lo_right) + 1
+    if (int(left.max()) - int(lo_left) + 1) * width > np.iinfo(np.int64).max:
+        raise InvalidInput("pair indices span too wide for int64 codes")
+    return (left - lo_left) * width + (right - lo_right)
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Compact SVD a = u @ diag(s) @ v.T with a deterministic sign choice.

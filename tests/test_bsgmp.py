@@ -97,6 +97,16 @@ class TestBipartiteGraph:
         with pytest.raises(InvalidInput, match="duplicate"):
             BipartiteGraph(1000, 1000, dup)
 
+    def test_duplicate_check_with_node_counts_past_int64(self):
+        # left * n_right + right wrapped (0, 0) and (4, 0) at n_right 2**62 onto one
+        # key, and overflowed at 10**20; pair codes span only the edges' indices.
+        assert BipartiteGraph(5, 2**62, np.array([[0, 0], [4, 0]])).m == 2
+        assert BipartiteGraph(2, 10**20, np.array([[1, 7], [1, 8]])).m == 2
+        with pytest.raises(InvalidInput, match="^duplicate edges$"):
+            BipartiteGraph(2, 10**20, np.array([[1, 7], [0, 3], [1, 7]]))
+        with pytest.raises(InvalidInput, match="^right endpoint out of range$"):
+            BipartiteGraph(2, 10**20, np.array([[1, -1]]))
+
 
 class TestNormalizedAdjacency:
     def test_single_edge(self):

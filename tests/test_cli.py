@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmcl import bsgmp, datagen, solvers, storage
+from mmcl import bsgmp, datagen, harness, solvers, storage
 from mmcl.cli import main
 from mmcl.errors import CONFIG_EXIT_CODE, NUMERICAL_EXIT_CODE, DegenerateData
 
@@ -657,6 +657,77 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert "4 trials (2 failed)" in captured.out
         assert captured.err == ""
+
+    def test_partly_failing_sweep_reports_its_failed_trials(self, tmp_path):
+        argv = self.exp(tmp_path, "bsgmp", {"k_grid": ["none", 99], "p_prime_grid": [0.0]},
+                        self.BSGMP_OPTIONS)
+        assert main(argv) == 0
+        with open(tmp_path / "exp" / "results.csv", newline="") as fh:
+            failed = [row for row in csv.DictReader(fh) if row["flags"] == "failed:InvalidK"]
+        assert [(r["k"], r["p_prime"], r["seed"]) for r in failed] == [
+            ("99", "0.0", "0"), ("99", "0.0", "1")]
+        with open(tmp_path / "exp" / "summary.csv", newline="") as fh:
+            summary = {row["k"]: row for row in csv.DictReader(fh)}
+        metric_cells = [c for c in summary["99"] if c.endswith(("_median", "_iqr"))]
+        assert len(metric_cells) == 2 * (len(harness.METRIC_NAMES) - 1)
+        assert all(summary["99"][c] == "" for c in metric_cells)
+        assert summary["99"]["count"] == "2"
+        assert summary["none"]["downstream_accuracy_median"] != ""
+
+    # Counts numpy refuses before it allocates: 10**20 lies beyond np.iinfo(np.intp).max,
+    # and 2**62 times 2, 4 or a byte size of 8 overflows int64.
+    OVERSIZED_GEN = {
+        "gen-paired-n": {"kind": "paired", "n": 10**20},
+        "gen-unpaired-n": {"kind": "unpaired", "n": 2**62},
+        "gen-bipartite-n-per-cluster": {"kind": "labeled-bipartite", "n_per_cluster": 2**62,
+                                        "k": 2},
+        # k * n_per_cluster = 2**64: a 1-D np.repeat wraps it to 0 and crashes numpy.
+        "gen-bipartite-wrapping-product": {"kind": "labeled-bipartite",
+                                           "n_per_cluster": 2**62, "k": 4},
+        "gen-model-d1": {"kind": "paired", "n": 10, "model": dict(MODEL, d1=10**20)},
+    }
+
+    def oversized_argv(self, tmp_path, case):
+        """(argv, output directory) of one oversized-count command."""
+        out = tmp_path / "out"
+        if case in self.OVERSIZED_GEN:
+            cfg = write_config(tmp_path, "g.json", {"model": MODEL, **self.OVERSIZED_GEN[case]})
+            return ["gen", "--config", cfg, "--out", str(out)], out
+        if case == "exp-distortion-n-grid":
+            argv = self.exp(tmp_path, "distortion", {"n_grid": [10**20], "p_grid": [0.0]}, {})
+            return argv, tmp_path / "exp"
+        if case == "exp-bsgmp-n-per-cluster":
+            argv = self.exp(tmp_path, "bsgmp", {"k_grid": [2], "p_prime_grid": [0.0]},
+                            dict(self.BSGMP_OPTIONS, n_per_cluster=2**62))
+            return argv, tmp_path / "exp"
+        if case == "fit-sscl-k-draws":
+            return ["fit", "sscl", "--data", gen_paired(tmp_path, n=10), "--out", str(out),
+                    "--r", "1", "--mode", "sampled", "--k-draws", str(10**20)], out
+        edges = tmp_path / "e.csv"
+        edges.write_text("i,j\n0,0\n1,1\n")
+        n_right = {"bsgmp-n-right-beyond-intp": 10**20, "bsgmp-n-right-bytes": 2**62}[case]
+        return ["bsgmp", "--edges", str(edges), "--k", "2", "--n-right", str(n_right),
+                "--out", str(out)], out
+
+    @pytest.mark.parametrize("case", [*OVERSIZED_GEN, "exp-distortion-n-grid",
+                                      "exp-bsgmp-n-per-cluster", "fit-sscl-k-draws",
+                                      "bsgmp-n-right-beyond-intp", "bsgmp-n-right-bytes"])
+    def test_count_too_large_for_any_array_exits_3(self, tmp_path, capsys, case):
+        argv, out = self.oversized_argv(tmp_path, case)
+        capsys.readouterr()
+        code, err = self.run(capsys, argv)
+        assert code == NUMERICAL_EXIT_CODE
+        assert err.startswith("out of memory: ")
+        assert not out.exists()
+
+    def test_other_value_errors_are_not_read_as_oversized(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(bsgmp, "partition", broken)
+        edges = tmp_path / "e.csv"
+        edges.write_text("i,j\n0,0\n1,1\n")
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["bsgmp", "--edges", str(edges), "--k", "2", "--out", str(tmp_path / "p")])
 
 
 class TestArgumentParsing:

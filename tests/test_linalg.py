@@ -11,6 +11,19 @@ from conftest import random_orthonormal, subspace_distance
 from oracle import svd_top_r
 
 
+class TestPairCodes:
+    def test_codes_order_as_the_pairs(self):
+        left, right = np.array([5, 3, 5, 3, 4]), np.array([9, 2, 1, 9, 2])
+        codes = linalg.pair_codes(left, right)
+        assert codes.dtype == np.int64
+        assert np.array_equal(np.argsort(codes), np.lexsort((right, left)))
+        assert linalg.sorted_unique(codes).size == 5
+
+    def test_span_past_int64_is_rejected(self):
+        with pytest.raises(InvalidInput, match="too wide for int64"):
+            linalg.pair_codes(np.array([0, 2**62]), np.array([0, 3]))
+
+
 class TestSvd:
     def test_identity(self):
         res = linalg.svd(np.eye(3))

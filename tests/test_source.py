@@ -2,6 +2,7 @@
 package, and every flag it emits is documented in the README."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,6 +102,17 @@ def test_readme_names_every_emitted_flag():
     missing = [f for f in sorted(flags)
                if f"`{f}" + ("" if f.endswith("<") else "`") not in section]
     assert missing == []
+
+
+def test_readme_names_every_gen_field_of_every_kind():
+    from mmcl import cli, storage
+    assert tuple(cli.GEN_KINDS) == storage.DATASET_KINDS
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    # "... it accepts `n` and `p` for `paired`, `n` for `unpaired`, and ... for `...`;"
+    accepts = readme.split("`mmcl gen` checks its config")[1].split(" it accepts ")[1]
+    named = {kind: set(re.findall(r"`(\w+)`", fields))
+             for fields, kind in re.findall(r"(.+?) for `([\w-]+)`", accepts.split(";")[0])}
+    assert named == {kind: set(fields) for kind, (_, fields) in cli.GEN_KINDS.items()}
 
 
 def test_flag_scan_reads_appends_tuples_and_fstrings():
