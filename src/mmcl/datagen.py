@@ -219,6 +219,13 @@ def _matched(params: ModelParams, rng: np.random.Generator, truth: np.ndarray,
     )
 
 
+def _check_count(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidInput(f"need at least 2 samples, got {n!r}")
+    if n > np.iinfo(np.intp).max // 8:  # np.arange(n) has no rows near 2**63, and no error
+        raise MemoryError(f"an index array of {n} samples exceeds the address space")
+
+
 def sample_paired(params: ModelParams, n: int, p: float, seed=0) -> PairedDataset:
     """Draw n co-indexed pairs with a target fraction p of broken pairs.
 
@@ -228,8 +235,7 @@ def sample_paired(params: ModelParams, n: int, p: float, seed=0) -> PairedDatase
     pair is kept genuine in that case. The realized distortion is recorded
     exactly in the returned dataset.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInput(f"need at least 2 samples, got {n!r}")
+    _check_count(n)
     if not (0.0 <= p <= 1.0):
         raise InvalidProbability(f"broken-pair fraction must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -252,8 +258,7 @@ def sample_unpaired(params: ModelParams, n: int, seed=0) -> PairedDataset:
     modality is generated against a uniformly random permutation, and the
     observed edge list is empty.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInput(f"need at least 2 samples, got {n!r}")
+    _check_count(n)
     rng = np.random.default_rng(seed)
     truth = np.stack([np.arange(n), rng.permutation(n)], axis=1)
     meta = {"kind": "unpaired", "seed_repr": repr(seed)}

@@ -366,11 +366,11 @@ def _init(opts, name, model):
 
 def _losses(opts, name, model):
     names = opts.get(name, list(GRADCHECK_SPECS))
-    if not isinstance(names, list) or not all(
+    if not isinstance(names, list) or not names or not all(
             isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in names) or len(
             set(names)) < len(names):
-        raise InvalidInput(
-            f"options.{name}: must be a list of distinct names from {sorted(GRADCHECK_SPECS)}")
+        raise InvalidInput(f"options.{name}: must be a nonempty list of distinct names "
+                           f"from {sorted(GRADCHECK_SPECS)}")
     return names
 
 

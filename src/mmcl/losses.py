@@ -14,9 +14,10 @@ a table E, exp(sims / tau - shift) streamed in row blocks for psi exp, and 1
 off the diagonal and epsilon on it, never built, for psi identity. An unpaired
 pool's similarity is never stored: PoolSimilarity keeps its rank-r factors and
 rebuilds row blocks for an extrema scan that estimate_edges and unpaired_weights
-share, and for contrastive_cross_covariance. Both modes stream their blocks
-through one _softmax_sums kernel at a shift fixed before the pass: one
-exponential per entry, or two for a table too spread for one shift.
+share, and for contrastive_cross_covariance from the row factor divided by tau.
+Both modes stream their blocks through one _softmax_sums kernel at a shift fixed
+before the pass, one exponential per entry or two for a table too spread for one
+shift, and take each row and column sum as a product with ones.
 """
 
 import numbers
@@ -299,49 +300,52 @@ def contrastive_cross_covariance(weights: UnpairedWeights, x, xt, c_n: str) -> n
     the pair set (weight nu) against the full softmax table, streamed in row
     blocks. c_n is a normalizer rule, "n(n-1)" or "n".
     """
-    x = as_matrix(x, "x")
-    xt = as_matrix(xt, "xt")
+    x, xt = _data_arrays((x, xt))
     cn = c_n_value(c_n, x.shape[0])
     if weights.sims.shape != (x.shape[0], xt.shape[0]):
         raise InvalidInput("weight table does not match the data shape")
     pair_term = x[weights.edges[:, 0]].T @ xt[weights.edges[:, 1]]
-    blocks = lambda: ((lo, b / weights.tau) for lo, b in weights.sims.blocks())  # never a view
+    if weights.sims.bt is None:  # a dense table: each block divided by tau, never a view
+        blocks = lambda: ((lo, b / weights.tau) for lo, b in weights.sims.blocks())
+    elif np.all(np.isfinite(a := weights.sims.a / weights.tau)):  # tau in the row factor
+        blocks = PoolSimilarity(a, weights.sims.bt).blocks
+    else:
+        raise NonFinite(f"sims / tau overflows at tau {weights.tau}")
     row_max, col_max, c = weights.row_max, weights.col_max, np.max(weights.row_max)
     fits = np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
-    (_, row_sum, right), (_, col_sum, left) = _softmax_sums(
-        blocks, weights.sims.shape, c if fits else (row_max, col_max), x, xt)
-    pool = 0.5 * (x.T @ (right / row_sum[:, None]) + left @ (xt / col_sum[:, None]))
+    x1, xt1 = (np.hstack([d, np.ones((len(d), 1))]) for d in (x, xt))  # sums: last column, row
+    (_, right), (_, left) = _softmax_sums(
+        blocks, weights.sims.shape, c if fits else (row_max, col_max), (x1,), (xt1,))
+    pool = 0.5 * (x.T @ (right[:, :-1] / right[:, -1:]) + left[:-1] @ (xt / left[-1][:, None]))
     return (weights.nu * pair_term - pool) / cn
 
 
-def _softmax_sums(blocks, shape, shift, x=None, xt=None):
-    """Row sums of E and column sums of F, and E @ xt and x.T @ F when x and xt
-    are given, from one pass over the row blocks (lo, block) of an n x m table z
-    that blocks() yields in order, each overwritten. The shift is fixed before
-    the pass: a number c at or above every entry of z gives E = F = exp(z - c),
-    one exponential per entry; the pair (row maxima, column maxima) of z gives
-    E = exp(z - row max) and F = exp(z - column max), two per entry, every sum
-    at least 1 and exact at any range. Returns (row shift, E @ 1, E @ xt) and
-    (column shift, 1 @ F, x.T @ F): log (E @ 1)_i + row shift_i is the
-    log-sum-exp of z's row i.
+def _softmax_sums(blocks, shape, shift, lefts, rights):
+    """E @ r for each r in rights and l.T @ F for each l in lefts, from one pass
+    over the row blocks (lo, block) of an n x m table z that blocks() yields in
+    order, each overwritten. The shift is fixed before the pass: a number c at
+    or above every entry of z gives E = F = exp(z - c), one exponential per
+    entry; the pair (row maxima, column maxima) of z gives E = exp(z - row max)
+    and F = exp(z - column max), two per entry, every sum at least 1 and exact
+    at any range. Returns (row shift, *E @ rights) and (column shift, *lefts.T
+    @ F). A sum is a product with ones: a ones vector of its own in the paired
+    pass, a ones column appended to the data in the pool's. log (E @ 1)_i + row
+    shift_i is the log-sum-exp of z's row i.
     """
     (n, m), shared = shape, not isinstance(shift, tuple)
     row_shift, col_shift = (shift, shift) if shared else shift
-    ones = np.ones(max(n, m))
-    row_sum, col_sum, right, left = np.empty(n), np.zeros(m), None, None
-    if x is not None:
-        right, left = np.empty((n, xt.shape[1])), np.zeros((x.shape[1], m))
+    right = [np.empty((n,) + r.shape[1:]) for r in rights]
+    left = [np.zeros(l.shape[1:] + (m,)) for l in lefts]
     for lo, e in blocks():
         rows = slice(lo, lo + e.shape[0])
         f = e if shared else np.exp(f := e - col_shift, out=f)  # F, taken before E overwrites e
         np.exp(np.subtract(e, shift if shared else row_shift[rows, None], out=e), out=e)
-        row_sum[rows] = e @ ones[:m]
-        col_sum += ones[:e.shape[0]] @ f
-        if x is not None:
-            right[rows] = e @ xt
-            left += x[rows].T @ f
+        for out, r in zip(right, rights):
+            out[rows] = e @ r
+        for out, l in zip(left, lefts):
+            out += l[rows].T @ f
         del e, f  # before the next block is built
-    return (row_shift, row_sum, right), (col_shift, col_sum, left)
+    return (row_shift, *right), (col_shift, *left)
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
@@ -390,7 +394,8 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
                 yield lo, z
                 del z  # freed before the next block is built
         c = np.prod([np.max(np.linalg.norm(a, axis=1)) for a in (x @ g1.T, xt @ enc.g2.T)])
-        data = (x, xt) if want_gradient else ()
+        ones = np.ones(n)  # the row and column sums, each a product of its own
+        data = ((ones, x), (ones, xt)) if want_gradient else ((ones,), (ones,))
         sides = _softmax_sums(blocks, (n, n), c, *data)  # Cauchy-Schwarz: c bounds every entry
         if not np.min(np.minimum(sides[0][1], sides[1][1])) >= np.exp(-_SHARED_RANGE):
             row_max, col_max = np.empty(n), np.full(n, -np.inf)  # exact maxima, then two shifts
@@ -399,7 +404,7 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
                 np.maximum(col_max, np.max(z, axis=0), out=col_max)
                 del z  # freed before the next block is built
             sides = _softmax_sums(blocks, (n, n), (row_max, col_max), *data)
-        for shift, total, _ in sides:
+        for shift, total, *_ in sides:
             lse = np.log(total) + (shift - anchor)
             if spec.phi == "identity":  # the aggregate itself, e^lse
                 totals.append(np.exp(lse))

@@ -685,6 +685,9 @@ class TestMalformedInputs:
         "gen-bipartite-wrapping-product": {"kind": "labeled-bipartite",
                                            "n_per_cluster": 2**62, "k": 4},
         "gen-model-d1": {"kind": "paired", "n": 10, "model": dict(MODEL, d1=10**20)},
+        # the largest int64 and one past it: neither a 0-row draw nor an IndexError
+        **{f"gen-{kind}-n-{n}": {"kind": kind, "n": n}
+           for kind in ("paired", "unpaired") for n in (2**63 - 1, 2**63)},
     }
 
     def oversized_argv(self, tmp_path, case):

@@ -490,6 +490,7 @@ class TestRunExperiment:
         ("gradcheck", {"n_grid": [4]}, {"h": math.inf}, "h"),
         ("gradcheck", {"n_grid": [4]}, {"enc_rank": 2.0}, "enc_rank"),
         ("gradcheck", {"n_grid": [4]}, {"losses": [["linear"]]}, "losses"),
+        ("gradcheck", {"n_grid": [4]}, {"losses": []}, "losses"),
         ("sscl-compare", {"n_grid": [4]}, {"p": 1.5}, "p"),
         ("sscl-compare", {"n_grid": [4]}, {"p": None}, "p"),
         ("sscl-compare", {"n_grid": [4]}, {"k_draws": "10"}, "k_draws"),

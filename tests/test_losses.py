@@ -666,7 +666,8 @@ def factored_pool(seed, n, m, r=5, ties=False):
 
 @pytest.mark.usefixtures("rows64")
 class TestPoolSimilarity:
-    """A factored pool gives the results of its dense table bit for bit."""
+    """A factored pool gives the scan of its dense table bit for bit, and its
+    contrast, built from the row factor divided by tau, to rounding."""
 
     # square and non-square, no side a multiple of the 64-row block (or of 32)
     SHAPES = [(131, 131), (97, 200), (200, 97), (65, 3)]
@@ -711,8 +712,43 @@ class TestPoolSimilarity:
         for field in ("row_max", "col_max", "edges"):
             assert np.array_equal(getattr(factored, field), getattr(stored, field))
         for a, b in ((x, xt), (np.eye(n), np.eye(m))):  # identity data: the whole table
-            assert np.array_equal(losses.contrastive_cross_covariance(factored, a, b, "n"),
-                                  losses.contrastive_cross_covariance(stored, a, b, "n"))
+            out = losses.contrastive_cross_covariance(factored, a, b, "n")
+            dense = losses.contrastive_cross_covariance(stored, a, b, "n")
+            assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("two-shift", 2)])
+    @pytest.mark.parametrize("n,m", [(700, 530), (530, 700), (65, 3)])
+    def test_folded_contrast_matches_dense_oracle(self, monkeypatch, n, m, route, per_entry):
+        # Blocks of the row factor divided by tau, ragged last blocks, n != m:
+        # the oracle on the stacked table to 1e-14, one or two exponentials a
+        # pool entry, and none of them in the scan.
+        src, dense = factored_pool(n + 2 * m, n, m)
+        rng = np.random.default_rng(n * m + 1)
+        x, xt = rng.standard_normal((n, 6)), rng.standard_normal((m, 4))
+        edges = np.stack([rng.integers(0, n, 30), rng.integers(0, m, 30)], axis=1)
+        if route == "two-shift":
+            monkeypatch.setattr(losses, "_SHARED_RANGE", -np.inf)
+        sizes = np_sizes(monkeypatch, "exp")
+        w = losses.unpaired_weights(src, 0.4, 2.0, edges)
+        assert sizes == []
+        out = losses.contrastive_cross_covariance(w, x, xt, "n")
+        assert sum(sizes) == per_entry * n * m
+        expected = dense_contrast(x, xt, dense, 0.4, 2.0, edges, float(n))
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_overflowing_row_factor_raises_non_finite_naming_tau(self):
+        # sims / tau is finite but a / tau overflows in one row: the contrast
+        # gives unpaired_weights' one line naming tau, and numpy no warning.
+        src, _ = factored_pool(33, 131, 97)
+        src.a[7] *= 1e300
+        src.bt *= 1e-300
+        x, xt = np.ones((131, 2)), np.ones((97, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = losses.unpaired_weights(src, 1e-10, 2.0, [[0, 0]])
+            with pytest.raises(NonFinite) as exc:
+                losses.contrastive_cross_covariance(w, x, xt, "n")
+        assert str(exc.value) == "sims / tau overflows at tau 1e-10"
 
     def test_encode_factors_similarity_matrix(self):
         x, xt, enc = random_instance(30, n=150)

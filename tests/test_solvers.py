@@ -635,7 +635,9 @@ class TestSemisupervised:
 
     @pytest.mark.parametrize("tau", [None, 0.7, 1e-3])  # schedule, fixed, fallback route
     def test_factored_fit_matches_the_dense_route(self, tau):
-        # The dense oracle: the same steps on the stacked pool table.
+        # The dense oracle: the same steps on the stacked pool table. The edges
+        # come from the same unscaled blocks; the contrast divides the factor,
+        # not the table, by tau, so the product agrees to rounding.
         model = datagen.random_model(12, 10, 3, snr=2.0, seed=0)
         ds = datagen.sample_paired(model, 60, 0.0, seed=(30, 1))
         pool = datagen.sample_unpaired(model, 193, seed=(30, 2))
@@ -648,7 +650,7 @@ class TestSemisupervised:
         s_hat = losses.contrastive_cross_covariance(weights, pool.x, pool.xt, "n")
         _, product, _, _ = solvers._truncated_fit(s_hat, 3, 1.0 / spec.rho)
         assert np.array_equal(fit.meta["edges"], est.edges)
-        assert np.array_equal(fit.product, product)
+        assert np.abs(fit.product - product).max() <= 1e-13 * np.abs(product).max()
 
     @pytest.mark.parametrize("seed,pool_size", [
         pytest.param(seed, pool_size, id=str(seed) if pool_size == 4000 else f"{seed}-{pool_size}")
