@@ -15,11 +15,12 @@ off the diagonal and epsilon on it, never built, for psi identity. An unpaired
 pool's similarity is never stored: PoolSimilarity keeps its rank-r factors and
 rebuilds row blocks for an extrema scan that estimate_edges and unpaired_weights
 share, and for contrastive_cross_covariance from the row factor divided by tau.
-Both modes stream their blocks through one _softmax_sums kernel at a shift fixed
-before the pass, one exponential per entry or two for a table too spread for one
-shift, and take each row and column sum as a product with ones.
+Both modes stream their blocks through one _softmax_sums kernel with a bound on
+every entry as the shift, one exponential per entry; the kernel alone decides,
+from an underflowing sum, to retry with two shifts and two exponentials per entry.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,8 +174,8 @@ class PoolSimilarity:
     The table is the stack of its row blocks a[lo:hi] @ bt, rebuilt on demand;
     every score table in the package, similarity_matrix's included, is built
     from these blocks. The extrema of one pass over them are kept for
-    estimate_edges and unpaired_weights. It has a length but no ndim: it is
-    not a stored table.
+    estimate_edges, unpaired_weights and the contrast's shift. It has a length
+    but no ndim: it is not a stored table.
     """
 
     def __init__(self, a: np.ndarray, bt: np.ndarray | None = None):
@@ -257,13 +258,11 @@ def loss_value(spec: LossSpec, enc: EncoderPair, data) -> float:
 class UnpairedWeights:
     """An unpaired pool's symmetrized softmax table, never stored, plus the pair
     set whose empirical cross-covariance enters with weight nu. Holds the
-    pool's PoolSimilarity and the row and column maxima of sims / tau, from
-    which contrastive_cross_covariance streams the table."""
+    pool's PoolSimilarity, whose extrema scan gives contrastive_cross_covariance
+    its shift, the largest entry of sims / tau, and tau."""
 
     sims: PoolSimilarity
     tau: float
-    row_max: np.ndarray
-    col_max: np.ndarray
     edges: np.ndarray
     nu: float
 
@@ -271,10 +270,10 @@ class UnpairedWeights:
 def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
     """Full-support softmax table of sims / tau, the average of its row and its
     column softmax over all entries (nothing marks an entry as an observed
-    pair), plus a pair set. sims is a PoolSimilarity or a 2-D array. The row
-    and column maxima of sims / tau come from its extrema scan, which
-    estimate_edges may already have taken, and no exponential is taken; a
-    non-finite entry raises InvalidInput, an overflowing sims / tau NonFinite."""
+    pair), plus a pair set. sims is a PoolSimilarity or a 2-D array. Its extrema
+    scan, which estimate_edges may already have taken, is checked here and no
+    exponential is taken; a non-finite entry raises InvalidInput, an
+    overflowing sims / tau NonFinite."""
     sims = PoolSimilarity.of(sims)
     if not 0 < tau < np.inf:
         raise InvalidInput(f"tau must be positive and finite, got {tau}")
@@ -285,13 +284,11 @@ def unpaired_weights(sims, tau: float, nu: float, edges) -> UnpairedWeights:
         raise InvalidInput("unpaired weights need a nonempty pair set")
     if np.any(edges < 0) or np.any(edges >= sims.shape):
         raise InvalidInput("pair indices out of range")
-    _, row_max, row_min, col_max, _ = sims.extrema
+    _, row_max, row_min, _, _ = sims.extrema
     with np.errstate(over="ignore"):  # max(s) / tau == max(s / tau), and so for min
-        row_max, row_min, col_max = row_max / tau, row_min / tau, col_max / tau
-    if not np.all(np.isfinite((row_max, row_min))):
-        raise NonFinite(f"sims / tau overflows at tau {tau}")
-    return UnpairedWeights(sims=sims, tau=tau, row_max=row_max, col_max=col_max,
-                           edges=edges, nu=float(nu))
+        if not np.isfinite(np.max(row_max) / tau) or not np.isfinite(np.min(row_min) / tau):
+            raise NonFinite(f"sims / tau overflows at tau {tau}")
+    return UnpairedWeights(sims=sims, tau=tau, edges=edges, nu=float(nu))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves inf / nan, no warning
@@ -311,41 +308,48 @@ def contrastive_cross_covariance(weights: UnpairedWeights, x, xt, c_n: str) -> n
         blocks = PoolSimilarity(a, weights.sims.bt).blocks
     else:
         raise NonFinite(f"sims / tau overflows at tau {weights.tau}")
-    row_max, col_max, c = weights.row_max, weights.col_max, np.max(weights.row_max)
-    fits = np.isfinite(c) and min(np.min(row_max), np.min(col_max)) >= c - _SHARED_RANGE
+    c = np.max(weights.sims.extrema[1]) / weights.tau  # the largest entry of sims / tau
     x1, xt1 = (np.hstack([d, np.ones((len(d), 1))]) for d in (x, xt))  # sums: last column, row
-    (_, right), (_, left) = _softmax_sums(
-        blocks, weights.sims.shape, c if fits else (row_max, col_max), (x1,), (xt1,))
-    pool = 0.5 * (x.T @ (right[:, :-1] / right[:, -1:]) + left[:-1] @ (xt / left[-1][:, None]))
+    (_, rows, right), (_, cols, left) = _softmax_sums(blocks, weights.sims.shape, c, (x1,), (xt1,))
+    pool = 0.5 * (x.T @ (right[:, :-1] / rows[:, None]) + left[:-1] @ (xt / cols[:, None]))
     return (weights.nu * pair_term - pool) / cn
 
 
-def _softmax_sums(blocks, shape, shift, lefts, rights):
-    """E @ r for each r in rights and l.T @ F for each l in lefts, from one pass
-    over the row blocks (lo, block) of an n x m table z that blocks() yields in
-    order, each overwritten. The shift is fixed before the pass: a number c at
-    or above every entry of z gives E = F = exp(z - c), one exponential per
-    entry; the pair (row maxima, column maxima) of z gives E = exp(z - row max)
-    and F = exp(z - column max), two per entry, every sum at least 1 and exact
-    at any range. Returns (row shift, *E @ rights) and (column shift, *lefts.T
-    @ F). A sum is a product with ones: a ones vector of its own in the paired
-    pass, a ones column appended to the data in the pool's. log (E @ 1)_i + row
-    shift_i is the log-sum-exp of z's row i.
+def _softmax_sums(blocks, shape, bound, lefts, rights):
+    """E @ r for each r in rights and l.T @ F for each l in lefts, over the row
+    blocks (lo, block) of an n x m table z that blocks() yields in order, each
+    overwritten; E's row sums are the last column of E @ rights[0] and F's column
+    sums the last row of lefts[0].T @ F. One rule serves every caller: bound, at
+    or above every entry of z, gives E = F = exp(z - bound), one exponential per
+    entry and exact sums while they stay in range. If a sum ends below
+    exp(-_SHARED_RANGE), a pass takes z's exact row and column maxima and a last
+    one gives E = exp(z - row max) and F = exp(z - column max), two per entry and
+    exact at any range. Returns (row shift, row sums, *E @ rights) and (column
+    shift, column sums, *lefts.T @ F); log (row sums)_i + row shift_i is the
+    log-sum-exp of z's row i.
     """
-    (n, m), shared = shape, not isinstance(shift, tuple)
-    row_shift, col_shift = (shift, shift) if shared else shift
-    right = [np.empty((n,) + r.shape[1:]) for r in rights]
-    left = [np.zeros(l.shape[1:] + (m,)) for l in lefts]
-    for lo, e in blocks():
-        rows = slice(lo, lo + e.shape[0])
-        f = e if shared else np.exp(f := e - col_shift, out=f)  # F, taken before E overwrites e
-        np.exp(np.subtract(e, shift if shared else row_shift[rows, None], out=e), out=e)
-        for out, r in zip(right, rights):
-            out[rows] = e @ r
-        for out, l in zip(left, lefts):
-            out += l[rows].T @ f
-        del e, f  # before the next block is built
-    return (row_shift, *right), (col_shift, *left)
+    (n, m), row_shift, col_shift = shape, bound, bound
+    while True:
+        shared = row_shift is bound
+        right = [np.empty((n,) + r.shape[1:]) for r in rights]
+        left = [np.zeros(l.shape[1:] + (m,)) for l in lefts]
+        for lo, e in blocks():
+            rows = slice(lo, lo + e.shape[0])
+            f = e if shared else np.exp(f := e - col_shift, out=f)  # F, before E overwrites e
+            np.exp(np.subtract(e, bound if shared else row_shift[rows, None], out=e), out=e)
+            for out, r in zip(right, rights):
+                out[rows] = e @ r
+            for out, l in zip(left, lefts):
+                out += l[rows].T @ f
+            del e, f  # before the next block is built
+        sums = right[0][:, -1], left[0][-1]
+        if not shared or all(np.min(s) >= math.exp(-_SHARED_RANGE) for s in sums):
+            return (row_shift, sums[0], *right), (col_shift, sums[1], *left)
+        row_shift, col_shift = np.empty(n), np.full(m, -np.inf)  # exact maxima, then two shifts
+        for lo, z in blocks():
+            row_shift[lo:lo + z.shape[0]] = np.max(z, axis=1)
+            np.maximum(col_shift, np.max(z, axis=0), out=col_shift)
+            del z  # freed before the next block is built
 
 
 def loss_gradient(spec: LossSpec, enc: EncoderPair, data):
@@ -368,9 +372,9 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
     The row-anchored alpha table is a_i E_ij and the transposed column one
     E_ij b_j: for psi exp E = exp(sims / tau - c), log epsilon added on its
     diagonal, from one _softmax_sums pass over row blocks that similarity_matrix
-    builds from g1 / tau, c the product of the two factors' largest row norms;
-    if a sum ends below exp(-_SHARED_RANGE), a maxima pass and a two-shift pass
-    follow. For psi identity E is 1 off the diagonal and epsilon on it, so
+    builds from g1 / tau, c the product of the two factors' largest row norms,
+    which bounds every entry; if a sum underflows, the kernel retries with two
+    shifts. For psi identity E is 1 off the diagonal and epsilon on it, so
     E xt = 1 (1 @ xt) - (1 - eps) xt and the aggregates are anchored row and
     column sums of sims = xp @ xt.T, xp = x @ enc.product, which is not built:
     xp @ (1 @ xt), xt @ (1 @ xp) and its diagonal (xp * xt) @ 1. With R = E @ 1,
@@ -394,16 +398,9 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
                 yield lo, z
                 del z  # freed before the next block is built
         c = np.prod([np.max(np.linalg.norm(a, axis=1)) for a in (x @ g1.T, xt @ enc.g2.T)])
-        ones = np.ones(n)  # the row and column sums, each a product of its own
+        ones = np.ones((n, 1))  # the row and column sums, each a product of its own
         data = ((ones, x), (ones, xt)) if want_gradient else ((ones,), (ones,))
         sides = _softmax_sums(blocks, (n, n), c, *data)  # Cauchy-Schwarz: c bounds every entry
-        if not np.min(np.minimum(sides[0][1], sides[1][1])) >= np.exp(-_SHARED_RANGE):
-            row_max, col_max = np.empty(n), np.full(n, -np.inf)  # exact maxima, then two shifts
-            for lo, z in blocks():
-                row_max[lo:lo + z.shape[0]] = np.max(z, axis=1)
-                np.maximum(col_max, np.max(z, axis=0), out=col_max)
-                del z  # freed before the next block is built
-            sides = _softmax_sums(blocks, (n, n), (row_max, col_max), *data)
         for shift, total, *_ in sides:
             lse = np.log(total) + (shift - anchor)
             if spec.phi == "identity":  # the aggregate itself, e^lse
@@ -429,7 +426,8 @@ def _paired_pass(spec: LossSpec, enc: EncoderPair, x: np.ndarray, xt: np.ndarray
     loss = (np.sum(totals[0]) + np.sum(totals[1])) / (2.0 * cn)
     if not want_gradient:
         return loss, None
-    (a, b), ((_, row_sum, right), (_, col_sum, left)) = (s / (2.0 * cn) for s in scales), sides
+    a, b = (s / (2.0 * cn) for s in scales)
+    (_, row_sum, *_, right), (_, col_sum, *_, left) = sides  # *_: psi exp's E @ 1 and 1 @ F
     diag = spec.nu * (a * row_sum + b * col_sum)
     p = (a[:, None] * x).T @ right + left @ (b[:, None] * xt) - x.T @ (diag[:, None] * xt)
     return loss, p

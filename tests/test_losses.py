@@ -578,8 +578,10 @@ def np_sizes(monkeypatch, name, ndim=None):
 
 
 class TestSharedPoolExponential:
-    """The unpaired contrast takes one exp(sims / tau - c) per pool entry, or two
-    per entry, shifted per row and per column, when the pool is too spread."""
+    """The unpaired contrast takes one exp(sims / tau - c) per pool entry, c the
+    largest entry of sims / tau. When the pool is too spread, a sum of that pass
+    ends out of range and the kernel follows it with two exponentials per
+    entry, shifted per row and per column: three in all."""
 
     @pytest.mark.parametrize("n,m", [(700, 530), (65, 3)])
     def test_fallback_route_matches_dense_oracle(self, monkeypatch, rows64, n, m):
@@ -599,7 +601,7 @@ class TestSharedPoolExponential:
         dense = dense_contrast(x, xt, sims, 0.4, 1.5, edges, n * (n - 1.0))
         assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("fallback", 2)])
+    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("fallback", 3)])
     def test_exponential_count(self, monkeypatch, route, per_entry):
         # Neither route builds the dense table; only the contrast exponentiates.
         x, xt, sims, edges = pool_instance(52)
@@ -625,15 +627,25 @@ class TestSharedPoolExponential:
         sims[:, 0] -= 1e3
         self.check_exact_route(monkeypatch, x, xt, sims, edges)
 
+    def test_far_factored_row_takes_the_exact_route(self, monkeypatch):
+        # A factored pool, as fit_semisupervised passes it, with row 0 of the
+        # row factor scaled by 1e3 and the range left as it is: the one-shift
+        # pass ends out of range and the kernel itself retries with two shifts.
+        x, xt, _, edges = pool_instance(56, n=150, m=120)
+        src, _ = factored_pool(56, 150, 120)
+        src.a[0] *= 1e3
+        self.check_exact_route(monkeypatch, x, xt, src, edges)
+
     @staticmethod
     def check_exact_route(monkeypatch, x, xt, sims, edges):
-        dense = dense_contrast(x, xt, sims, 0.5, 2.0, edges, 150.0)
+        table = sims if isinstance(sims, np.ndarray) else sims.dense()
+        dense = dense_contrast(x, xt, table, 0.5, 2.0, edges, 150.0)
         sizes = np_sizes(monkeypatch, "exp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = losses.unpaired_weights(sims, tau=0.5, nu=2.0, edges=edges)
             out = losses.contrastive_cross_covariance(w, x, xt, "n")
-        assert sum(sizes) == 2 * sims.size
+        assert sum(sizes) == 3 * table.size  # the one-shift pass, then the two-shift one
         assert np.all(np.isfinite(out))
         assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -709,19 +721,18 @@ class TestPoolSimilarity:
         factored = losses.unpaired_weights(src, tau, 2.0, edges)
         stored = losses.unpaired_weights(dense, tau, 2.0, edges)
         assert factored.sims is src
-        for field in ("row_max", "col_max", "edges"):
-            assert np.array_equal(getattr(factored, field), getattr(stored, field))
+        assert np.array_equal(factored.edges, stored.edges)
         for a, b in ((x, xt), (np.eye(n), np.eye(m))):  # identity data: the whole table
             out = losses.contrastive_cross_covariance(factored, a, b, "n")
             dense = losses.contrastive_cross_covariance(stored, a, b, "n")
             assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("two-shift", 2)])
+    @pytest.mark.parametrize("route,per_entry", [("shared", 1), ("two-shift", 3)])
     @pytest.mark.parametrize("n,m", [(700, 530), (530, 700), (65, 3)])
     def test_folded_contrast_matches_dense_oracle(self, monkeypatch, n, m, route, per_entry):
         # Blocks of the row factor divided by tau, ragged last blocks, n != m:
-        # the oracle on the stacked table to 1e-14, one or two exponentials a
-        # pool entry, and none of them in the scan.
+        # the oracle on the stacked table to 1e-14, one exponential a pool
+        # entry or, forced past the one shift, three, and none in the scan.
         src, dense = factored_pool(n + 2 * m, n, m)
         rng = np.random.default_rng(n * m + 1)
         x, xt = rng.standard_normal((n, 6)), rng.standard_normal((m, 4))
@@ -1117,19 +1128,22 @@ class TestSharedExponential:
     def test_shift_bounds_every_entry(self, monkeypatch, epsilon):
         # The one shift is fixed from the two factors before the pass; at every
         # seed and encoder scale it lies at or above every entry of sims / tau
-        # and of each block (log epsilon <= 0 only lowers the diagonal).
+        # and of each block (log epsilon <= 0 only lowers the diagonal). Each
+        # pass makes one kernel call; a retry walks the blocks again inside it.
         monkeypatch.setattr(losses, "_block_rows", lambda width: 16)
         shifts, tops, original = [], [], losses._softmax_sums
 
         def spy(blocks, shape, shift, *data):
+            walks = []
+
             def watched():
+                walks.append(None)
                 for lo, z in blocks():
-                    tops.append(z.max())
+                    if len(walks) == 1:  # the one-shift walk
+                        tops.append(z.max())
                     yield lo, z
-            if not isinstance(shift, tuple):  # the one-shift pass
-                shifts.append(shift)
-                return original(watched, shape, shift, *data)
-            return original(blocks, shape, shift, *data)
+            shifts.append(shift)
+            return original(watched, shape, shift, *data)
 
         monkeypatch.setattr(losses, "_softmax_sums", spy)
         for seed in range(5):

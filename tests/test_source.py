@@ -120,3 +120,21 @@ def test_flag_scan_reads_appends_tuples_and_fstrings():
                        "flags.append('z')\nf(flags=f'w:{e}')\nflags = d.pop('_k', '')\n"
                        "other.append('no')\n"}
     assert emitted_flags(sources) == {"x", "y", "z", "w:<"}
+
+
+def readers(text: str, name: str) -> set[str]:
+    """The top-level definitions of a module whose bodies read name."""
+    return {stmt.name for stmt in ast.parse(text).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and name in _read(stmt)}
+
+
+def test_one_function_chooses_the_softmax_shift_route():
+    # The underflow rule of both streamed softmax passes lives in the kernel:
+    # no caller reads the range to pick a route of its own.
+    assert readers((SRC / "losses.py").read_text(), "_SHARED_RANGE") == {"_softmax_sums"}
+
+
+def test_reader_scan_sees_nested_and_attribute_reads():
+    text = ("_R = 1\ndef f():\n    def g():\n        return _R\n    return g\n"
+            "class C:\n    x = m._R\ndef h():\n    _R = 2\n    return 0\n")
+    assert readers(text, "_R") == {"f", "C"}
