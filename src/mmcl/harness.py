@@ -126,8 +126,8 @@ class ExperimentConfig:
         if not isinstance(model, dict):
             raise InvalidInput("model: must be an object")
         seeds = obj.get("seeds")
-        if (not isinstance(seeds, list) or not seeds
-                or not all(isinstance(s, int) and s >= 0 for s in seeds)):
+        if (not isinstance(seeds, list) or not seeds or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
             raise InvalidInput("seeds: must be a nonempty list of nonnegative integers")
         sweep = obj.get("sweep")
         if not isinstance(sweep, dict):

@@ -107,25 +107,28 @@ def svd(a) -> SvdResult:
 
 
 def _check_rank(r: int, shape) -> None:
-    if not isinstance(r, (int, np.integer)):
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
         raise InvalidRank(f"rank must be an integer, got {r!r}")
     if r < 1 or r > min(shape):
         raise InvalidRank(f"rank {r} not in [1, {min(shape)}] for shape {shape}")
 
 
-def right_singular_subspace(a, r: int) -> Subspace:
-    """Span of the top-r right singular vectors of a.
-
-    The result is flagged degenerate when the spectral gap between the
-    r-th and (r+1)-th singular values is at most GAP_TOL (the (r+1)-th
-    value is taken as zero when r equals the smaller dimension).
-    """
+def truncated_svd(a, r: int) -> tuple[SvdResult, bool]:
+    """The top-r part of svd(a), and whether the cut is degenerate: the gap
+    between the r-th and (r+1)-th singular values is at most GAP_TOL (the
+    (r+1)-th value is taken as zero when r equals the smaller dimension)."""
     arr = as_matrix(a)
     _check_rank(r, arr.shape)
     res = svd(arr)
     s_next = res.s[r] if r < res.s.shape[0] else 0.0
-    gap = res.s[r - 1] - s_next
-    return Subspace(basis=res.v[:, :r].copy(), degenerate=bool(gap <= GAP_TOL))
+    top = SvdResult(u=res.u[:, :r], s=res.s[:r].copy(), v=res.v[:, :r])
+    return top, bool(res.s[r - 1] - s_next <= GAP_TOL)
+
+
+def right_singular_subspace(a, r: int) -> Subspace:
+    """Span of the top-r right singular vectors of a, degenerate as truncated_svd's cut."""
+    top, degenerate = truncated_svd(a, r)
+    return Subspace(basis=top.v.copy(), degenerate=degenerate)
 
 
 def _basis_of(u) -> np.ndarray:

@@ -50,22 +50,21 @@ class FitResult:
     meta: dict = field(default_factory=dict)
 
 
-def _truncated_fit(mat: np.ndarray, r: int, scale: float):
-    """Encoders realizing the top-r SVD of mat scaled by scale.
+def _truncated_fit(mat: np.ndarray, r: int, scale: float, loss, flags=(), **meta) -> FitResult:
+    """The closed-form fit whose product is the top-r SVD of mat scaled by scale.
 
-    Returns (enc, product, top-r singular values, flags); flags holds
-    "degenerate-gap" when the r-th singular gap is (near) zero.
+    loss(enc, product) gives final_loss. "degenerate-gap" follows the
+    caller's flags when linalg.truncated_svd cuts at a (near-)zero gap; meta
+    holds the top-r singular values and then the caller's entries.
     """
-    res = linalg.svd(_finite(mat, "contrast matrix"))
-    if r < 1 or r > res.s.shape[0]:
-        raise InvalidRank(f"rank {r} not in [1, {res.s.shape[0]}] for shape {mat.shape}")
-    s_next = res.s[r] if r < res.s.shape[0] else 0.0
-    flags = ("degenerate-gap",) if res.s[r - 1] - s_next <= linalg.GAP_TOL else ()
-    u_r, s_r, v_r = res.u[:, :r], res.s[:r].copy(), res.v[:, :r]
-    c = np.sqrt(scale * s_r)
-    enc = EncoderPair(g1=c[:, None] * u_r.T, g2=c[:, None] * v_r.T)
-    product = (u_r * (scale * s_r)) @ v_r.T
-    return enc, product, s_r, flags
+    top, degenerate = linalg.truncated_svd(_finite(mat, "contrast matrix"), r)
+    c = np.sqrt(scale * top.s)
+    enc = EncoderPair(g1=c[:, None] * top.u.T, g2=c[:, None] * top.v.T)
+    product = (top.u * (scale * top.s)) @ top.v.T
+    return FitResult(enc=enc, product=product, iterations=0,
+                     final_loss=_finite(loss(enc, product), "final loss"),
+                     flags=flags + (("degenerate-gap",) if degenerate else ()),
+                     meta={"singular_values": top.s, **meta})
 
 
 def _finite(value, stage: str):
@@ -104,13 +103,9 @@ def fit_linear_closed_form(data, r: int, rho: float = 1.0) -> FitResult:
     if not 0 < rho < np.inf:
         raise InvalidInput(f"rho must be positive and finite, got {rho}")
     sbar = centered_cross_covariance(data.x, data.xt)
-    enc, product, s_r, flags = _truncated_fit(sbar, r, 1.0 / rho)
     # the linear loss reduces exactly to -<product, sbar> plus the ridge,
     # which avoids materializing the n x n similarity matrix
-    final = _linear_objective(product, sbar, rho)
-    meta = {"singular_values": s_r}
-    return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
-                     trace=None, flags=flags, meta=meta)
+    return _truncated_fit(sbar, r, 1.0 / rho, lambda _, prod: _linear_objective(prod, sbar, rho))
 
 
 def _random_encoders(r: int, d1: int, d2: int, seed) -> EncoderPair:
@@ -224,10 +219,7 @@ def fit_approx_infonce(data, r: int, spec: LossSpec,
         init = fit_linear_closed_form(data, r, spec.rho).enc
     x, xt = linalg.as_matrix(data.x, "x"), linalg.as_matrix(data.xt, "xt")
     s_mat = -_paired_pass(spec, init, x, xt, want_gradient=True)[1]
-    enc, product, s_r, flags = _truncated_fit(s_mat, r, 1.0)
-    final = _finite(loss_value(spec, enc, data), "final loss")
-    return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
-                     trace=None, flags=flags, meta={"singular_values": s_r})
+    return _truncated_fit(s_mat, r, 1.0, lambda enc, _: loss_value(spec, enc, data))
 
 
 @dataclass(frozen=True)
@@ -271,15 +263,20 @@ def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
                        init_mode: str = "linear") -> FitResult:
     """Two-step learning from a paired set plus an unpaired pool.
 
-    Step one fits anchor encoders on the paired set (linear closed form,
-    or gradient descent on the smoothed softmax loss when
-    init_mode="infonce"). Step two scores the unpaired pool with the
-    anchors, estimates a pair set, forms the unpaired contrast matrix
-    with the symmetrized softmax table, and returns its truncated SVD
-    scaled by 1 / rho. The pool's scores are held as two n x r factors
-    (PoolSimilarity), never as an n x n table.
+    Step one fits anchor encoders on the paired set (linear closed form, or
+    gradient descent on the smoothed softmax loss when init_mode="infonce").
+    Step two scores the unpaired pool, which must have the paired set's
+    widths, with the anchors, estimates a pair set, forms the unpaired
+    contrast matrix with the symmetrized softmax table, and returns its
+    truncated SVD scaled by 1 / rho. The pool's scores are held as two
+    n x r factors (PoolSimilarity), never as an n x n table.
     """
-    flags = ("nu-not-above-one",) if spec.nu <= 1.0 else ()
+    x, xt = linalg.as_2d(paired.x, "x"), linalg.as_2d(paired.xt, "xt")
+    xu = linalg.as_matrix(unpaired.x, "unpaired x")
+    xtu = linalg.as_matrix(unpaired.xt, "unpaired xt")
+    if (xu.shape[1], xtu.shape[1]) != (x.shape[1], xt.shape[1]):
+        raise InvalidInput(f"unpaired widths ({xu.shape[1]}, {xtu.shape[1]}) differ from "
+                           f"the paired widths ({x.shape[1]}, {xt.shape[1]})")
     if init_mode == "linear":
         anchor_fit = fit_linear_closed_form(paired, r, spec.rho)
     elif init_mode == "infonce":
@@ -288,24 +285,15 @@ def fit_semisupervised(paired, unpaired, r: int, spec: LossSpec,
     else:
         raise InvalidInput(f"init_mode must be 'linear' or 'infonce', got {init_mode!r}")
 
-    xu = linalg.as_matrix(unpaired.x, "unpaired x")
-    xtu = linalg.as_matrix(unpaired.xt, "unpaired xt")
     sims_u = PoolSimilarity.encode(anchor_fit.enc, xu, xtu)
     est = estimate_edges(sims_u)
     weights = unpaired_weights(sims_u, spec.tau, spec.nu, est.edges)
     s_hat = contrastive_cross_covariance(weights, xu, xtu, "n")
-    enc, product, s_r, gap_flags = _truncated_fit(s_hat, r, 1.0 / spec.rho)
-    meta = {
-        "singular_values": s_r,
-        "edges": est.edges,
-        "edge_threshold": est.threshold,
-        "edge_pool_size": est.pool_size,
-        "init_product": anchor_fit.product,
-        "init_flags": anchor_fit.flags,
-    }
-    return FitResult(enc=enc, product=product, iterations=0,
-                     final_loss=_finite(loss_value(spec, enc, paired), "final loss"),
-                     trace=None, flags=flags + gap_flags, meta=meta)
+    return _truncated_fit(
+        s_hat, r, 1.0 / spec.rho, lambda enc, _: loss_value(spec, enc, paired),
+        flags=("nu-not-above-one",) if spec.nu <= 1.0 else (), edges=est.edges,
+        edge_threshold=est.threshold, edge_pool_size=est.pool_size,
+        init_product=anchor_fit.product, init_flags=anchor_fit.flags)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFinite instead
@@ -346,10 +334,8 @@ def fit_sscl_baseline(
         s_mask = second * pair_freq
     else:
         raise InvalidInput(f"mode must be 'expected' or 'sampled', got {mode!r}")
-    enc, product, s_r, flags = _truncated_fit(s_mask, r, 1.0 / rho)
-    if not np.any(s_mask):
-        flags = flags + ("degenerate-masked-covariance",)
-    final = _linear_objective(product, s_mask, rho)
-    meta = {"singular_values": s_r, "mode": mode, "contrast_matrix": s_mask}
-    return FitResult(enc=enc, product=product, iterations=0, final_loss=final,
-                     trace=None, flags=flags, meta=meta)
+    fit = _truncated_fit(s_mask, r, 1.0 / rho, lambda _, prod: _linear_objective(
+        prod, s_mask, rho), mode=mode, contrast_matrix=s_mask)
+    if np.any(s_mask):
+        return fit
+    return replace(fit, flags=fit.flags + ("degenerate-masked-covariance",))

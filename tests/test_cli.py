@@ -463,6 +463,20 @@ class TestMalformedInputs:
         assert err == "error: sims contains non-finite entries\n"
         assert not (tmp_path / "fit").exists()
 
+    def test_semi_pool_of_other_widths_exits_2(self, tmp_path, capsys):
+        # The pool's widths used to meet the paired set's first in a matmul
+        # of the anchor encoders: a numpy traceback and exit 1.
+        data = gen_paired(tmp_path, n=10)
+        cfg = write_config(tmp_path, "pool.json", {
+            "kind": "unpaired", "model": dict(MODEL, d1=5), "n": 10, "seed": 2})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "pool")]) == 0
+        code, err = self.run(capsys, ["fit", "semi", "--data", data, "--unpaired",
+                                      str(tmp_path / "pool"), "--out", str(tmp_path / "fit"),
+                                      "--r", "1"])
+        assert code == CONFIG_EXIT_CODE
+        assert err == "error: unpaired widths (5, 5) differ from the paired widths (6, 5)\n"
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("fit", [["linear"], ["gd"], ["gd", "--max-iter", "0"],
                                      ["approx"], ["sscl"], ["semi", "--unpaired", "pool"]],
                              ids=["linear", "gd", "gd-no-step", "approx", "sscl", "semi"])

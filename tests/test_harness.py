@@ -341,6 +341,7 @@ class TestExperimentConfig:
         ({k: v for k, v in VALID_CONFIG.items() if k != "sweep"}, "sweep"),
         (dict(VALID_CONFIG, options=[1]), "options"),
         (dict(VALID_CONFIG, output_dir=5), "output_dir"),
+        (dict(VALID_CONFIG, seeds=[True]), "seeds"),
     ])
     def test_invalid_configs_rejected_with_field_name(self, obj, fragment):
         with pytest.raises(InvalidInput, match=fragment):

@@ -110,6 +110,23 @@ class TestSvdTopR:
                 assert best <= np.linalg.norm(a - b, "fro") + 1e-12
 
 
+class TestTruncatedSvd:
+    def test_top_factors_of_the_full_svd(self):
+        a = np.random.default_rng(10).standard_normal((5, 4))
+        full = linalg.svd(a)
+        top, degenerate = linalg.truncated_svd(a, 2)
+        assert not degenerate
+        assert np.array_equal(top.u, full.u[:, :2])
+        assert np.array_equal(top.s, full.s[:2])
+        assert np.array_equal(top.v, full.v[:, :2])
+
+    def test_gap_rule_at_the_smaller_dimension(self):
+        # At r = min(shape) the (r+1)-th singular value is taken as 0.
+        assert linalg.truncated_svd(np.diag([1.0, 1e-13]), 2)[1]
+        assert not linalg.truncated_svd(np.diag([1.0, 1e-11]), 2)[1]
+        assert linalg.truncated_svd(np.diag([1.0, 1.0, 0.5]), 1)[1]
+
+
 class TestRightSingularSubspace:
     def test_diagonal_coordinate_span(self):
         sub = linalg.right_singular_subspace(np.diag([3.0, 2.0, 1.0]), 2)
@@ -139,7 +156,7 @@ class TestRightSingularSubspace:
 
     def test_rank_validation(self):
         a = np.eye(3)
-        for r in (0, -1, 4, 1.5):
+        for r in (0, -1, 4, 1.5, True):
             with pytest.raises(InvalidRank):
                 linalg.right_singular_subspace(a, r)
 

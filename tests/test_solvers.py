@@ -144,6 +144,30 @@ class TestLinearClosedForm:
         with pytest.raises(InvalidRank):
             solvers.fit_linear_closed_form(ds, 4)
 
+    @pytest.mark.parametrize("r", [2.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("fit", [
+        lambda ds, r: solvers.fit_linear_closed_form(ds, r),
+        lambda ds, r: solvers.fit_approx_infonce(
+            ds, r, LossSpec.clip(tau=1.0), init=solvers.fit_linear_closed_form(ds, 2).enc),
+        lambda ds, r: solvers.fit_semisupervised(ds, ds, r, LossSpec.clip(tau=1.0)),
+        lambda ds, r: solvers.fit_sscl_baseline(ds.x, r)],
+        ids=["linear", "approx", "semi", "sscl"])
+    def test_non_integer_rank_is_invalid(self, fit, r):
+        # 2.0 used to index the spectrum (IndexError) and True to compare an
+        # array in the gap test (ValueError).
+        ds = datagen.sample_paired(datagen.random_model(4, 3, 2, seed=0), 10, 0.0, seed=0)
+        with pytest.raises(InvalidRank, match="rank must be an integer"):
+            fit(ds, r)
+
+    def test_truncated_fit_puts_the_gap_flag_after_the_callers(self):
+        fit = solvers._truncated_fit(np.diag([2.0, 1.0, 1.0]), 2, 4.0, lambda enc, prod: 0.5,
+                                     flags=("nu-not-above-one",), edges=None)
+        assert fit.flags == ("nu-not-above-one", "degenerate-gap")
+        assert list(fit.meta) == ["singular_values", "edges"]
+        assert np.array_equal(fit.meta["singular_values"], [2.0, 1.0])
+        assert (fit.final_loss, fit.iterations, fit.trace) == (0.5, 0, None)
+        assert np.allclose(fit.enc.product, fit.product, atol=1e-15)
+
 
 class TestGradientDescent:
     def test_matches_closed_form(self):
@@ -547,6 +571,14 @@ class TestSemisupervised:
         with pytest.raises(InvalidInput, match="init_mode must be 'linear' or 'infonce'"):
             solvers.fit_semisupervised(ds, ds, 2, LossSpec.clip(tau=1.0), init_mode="bogus")
 
+    @pytest.mark.parametrize("d1,d2", [(11, 10), (12, 9)])
+    def test_pool_of_other_widths_is_rejected(self, d1, d2):
+        ds = datagen.sample_paired(datagen.random_model(12, 10, 2, seed=0), 20, 0.0, seed=1)
+        pool = datagen.sample_unpaired(datagen.random_model(d1, d2, 2, seed=0), 20, seed=2)
+        with pytest.raises(InvalidInput, match=rf"unpaired widths \({d1}, {d2}\) differ "
+                                               r"from the paired widths \(12, 10\)"):
+            solvers.fit_semisupervised(ds, pool, 2, LossSpec.clip(tau=1.0))
+
     def test_infonce_anchor_descent_stops_in_tens_of_steps(self, monkeypatch):
         # Criterion 5's shapes at its seed 0. The halving descent of be3697d
         # ran all 2000 steps and ended at 0.6459853788454923.
@@ -648,7 +680,7 @@ class TestSemisupervised:
         est = solvers.estimate_edges(sims)
         weights = losses.unpaired_weights(sims, spec.tau, spec.nu, est.edges)
         s_hat = losses.contrastive_cross_covariance(weights, pool.x, pool.xt, "n")
-        _, product, _, _ = solvers._truncated_fit(s_hat, 3, 1.0 / spec.rho)
+        product = solvers._truncated_fit(s_hat, 3, 1.0 / spec.rho, lambda *_: 0.0).product
         assert np.array_equal(fit.meta["edges"], est.edges)
         assert np.abs(fit.product - product).max() <= 1e-13 * np.abs(product).max()
 
@@ -717,6 +749,12 @@ class TestSsclBaseline:
         assert np.all(fit.product == 0.0)
         assert "degenerate-masked-covariance" in fit.flags
         assert "degenerate-gap" in fit.flags
+
+    def test_masked_flag_follows_the_gap_flag(self):
+        x = np.kron(np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]),
+                    [[1.0, 1.0], [1.0, -1.0]])[:, 1:]
+        fit = solvers.fit_sscl_baseline(x, 2, mode="expected")
+        assert fit.flags == ("degenerate-gap", "degenerate-masked-covariance")
 
     def test_sample_checks(self):
         with pytest.raises(InvalidInput, match="need at least 2 samples"):

@@ -134,6 +134,15 @@ def test_one_function_chooses_the_softmax_shift_route():
     assert readers((SRC / "losses.py").read_text(), "_SHARED_RANGE") == {"_softmax_sums"}
 
 
+def test_one_function_holds_the_rank_check_and_the_gap_rule():
+    # Every closed-form fit cuts its spectrum through linalg.truncated_svd:
+    # solvers reads neither the gap tolerance nor the full SVD.
+    solvers, linalg = (SRC / "solvers.py").read_text(), (SRC / "linalg.py").read_text()
+    assert readers(solvers, "GAP_TOL") == set()
+    assert readers(solvers, "svd") == set()
+    assert readers(linalg, "GAP_TOL") == {"truncated_svd"}
+
+
 def test_reader_scan_sees_nested_and_attribute_reads():
     text = ("_R = 1\ndef f():\n    def g():\n        return _R\n    return g\n"
             "class C:\n    x = m._R\ndef h():\n    _R = 2\n    return 0\n")
