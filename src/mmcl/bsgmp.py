@@ -71,7 +71,7 @@ def normalized_adjacency(graph: BipartiteGraph) -> np.ndarray:
 
 def embedding_width(k: int) -> int:
     """Number of singular-vector coordinates used for k clusters."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
+    if not linalg.is_count(k) or k < 2:
         raise InvalidK(f"cluster count must be an integer >= 2, got {k!r}")
     return int(math.ceil(math.log2(k)))
 
@@ -308,11 +308,11 @@ def kmeans(points, k: int, seed=0, restarts: int = 10) -> KMeansResult:
     arithmetic are those of plain unweighted k-means++.
     """
     points = linalg.as_matrix(points, "points")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not linalg.is_count(k) or k < 1:
         raise InvalidK(f"cluster count must be a positive integer, got {k!r}")
     if k > points.shape[0]:
         raise InvalidK(f"cannot form {k} clusters from {points.shape[0]} points")
-    if restarts < 1:
+    if not linalg.is_count(restarts) or restarts < 1:
         raise InvalidInput(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
     scale = float(np.max(np.abs(points))) if points.size else 0.0

@@ -75,8 +75,9 @@ def _spec_from_args(args, phi: str, psi: str, cn: str) -> LossSpec:
 
 def _cmd_fit(args) -> int:
     ds = storage.load_dataset(args.data)
-    spec = None
-    extra = {}
+    if args.method != "sscl" and ds.meta["kind"] != "paired":  # sscl reads x alone
+        raise InvalidInput(f"{args.data}: {ds.meta['kind']} data; fit {args.method} needs paired")
+    spec, extra = None, {}
     if args.method == "linear":
         fit = solvers.fit_linear_closed_form(ds, args.r, args.rho)
     elif args.method == "gd":

@@ -138,8 +138,7 @@ def random_model(
     them nonincreasing with leading entry 1). Noise is isotropic with
     per-coordinate variance 1/snr**2; snr=inf gives a noiseless model.
     """
-    if r < 1 or r > min(d1, d2):
-        raise InvalidRank(f"rank {r} not in [1, {min(d1, d2)}]")
+    linalg._check_rank(r, (d1, d2))
     if not (0.0 < decay <= 1.0):
         raise InvalidInput("decay must lie in (0, 1]")
     if not snr > 0:

@@ -106,8 +106,13 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, v=v)
 
 
+def is_count(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_rank(r: int, shape) -> None:
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+    if not is_count(r):
         raise InvalidRank(f"rank must be an integer, got {r!r}")
     if r < 1 or r > min(shape):
         raise InvalidRank(f"rank {r} not in [1, {min(shape)}] for shape {shape}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
+from .errors import DegenerateData, InvalidInput, NonFinite
 from .losses import (
     EncoderPair,
     LossSpec,
@@ -129,25 +129,22 @@ def fit_gradient_descent(
 
     lr is the first step size; after each accepted step s the next is
     ||s|| / ||y||, y the change in the gradient across s (unchanged when y
-    is 0 or not finite). A step that does not decrease the loss halves the
-    step size and retries, with at most 20 halvings over the whole run.
-    The run stops below tol ("converged"), at a rejection with the budget
-    spent ("step-budget-exhausted", the usual end at the loss's rounding
-    floor), or after max_iter steps; NonFinite if no first step has a
-    finite loss. Each candidate is scored and differentiated in one pass
-    over its similarity matrix, so an accepted step carries the next
-    iteration's gradient. lr = 0 returns the initialization unchanged
-    with iterations = max_iter and a no-progress flag.
+    is 0 or not finite). Each iteration's line search halves the step size
+    until a candidate does not raise the loss, with at most 20 halvings over
+    the whole run. The run stops below tol ("converged"), at a search that
+    spends the budget ("step-budget-exhausted", the usual end at the loss's
+    rounding floor), or after max_iter steps; NonFinite if no candidate has
+    a finite loss. A candidate is scored and differentiated in one pass, so
+    an accepted step carries the next iteration's gradient. lr = 0 returns
+    the initialization with iterations = max_iter and a no-progress flag.
     """
-    x = linalg.as_matrix(data.x, "x")
-    xt = linalg.as_matrix(data.xt, "xt")
+    x, xt = linalg.as_matrix(data.x, "x"), linalg.as_matrix(data.xt, "xt")
     for name, value in (("lr", lr), ("tol", tol)):
         if not 0 <= value < np.inf:
             raise InvalidInput(f"{name} must be nonnegative and finite, got {value}")
-    if max_iter < 0:
+    if not linalg.is_count(max_iter) or max_iter < 0:
         raise InvalidInput(f"max_iter must be nonnegative, got {max_iter}")
-    if r < 1 or r > min(x.shape[1], xt.shape[1]):
-        raise InvalidRank(f"rank {r} not representable for dims {x.shape[1]}, {xt.shape[1]}")
+    linalg._check_rank(r, (x.shape[1], xt.shape[1]))
     enc = init if init is not None else _random_encoders(r, x.shape[1], xt.shape[1], seed)
     if enc.g1.shape != (r, x.shape[1]) or enc.g2.shape != (r, xt.shape[1]):
         raise InvalidInput("init encoders do not match the requested shape")
@@ -157,19 +154,17 @@ def fit_gradient_descent(
         return FitResult(enc=enc, product=enc.product, iterations=max_iter,
                          final_loss=cur_loss, trace=trace, flags=("no-progress",))
     flags: list[str] = []
-    halvings = 0
-    steps = 0
+    halvings, finite_tried = 0, False
     grad = loss_gradient(spec, enc, data) if max_iter > 0 else None
     for _ in range(max_iter):
         grad1, grad2 = grad
         if not (np.all(np.isfinite(grad1)) and np.all(np.isfinite(grad2))):
-            raise NonFinite(f"gradient not finite at iteration {steps}")
+            raise NonFinite(f"gradient not finite at iteration {len(trace) - 1}")
         with np.errstate(over="ignore"):  # an infinite norm is above any tol
             gnorm = math.sqrt(float(np.sum(grad1**2) + np.sum(grad2**2)))
         if gnorm < tol:
             flags.append("converged")
             break
-        accepted = finite_tried = False
         while True:
             cand = EncoderPair(g1=enc.g1 - lr * grad1, g2=enc.g2 - lr * grad2)
             try:
@@ -177,29 +172,24 @@ def fit_gradient_descent(
             except NonFinite:  # a log aggregate outside its domain
                 cand_loss = math.nan
             finite_tried = finite_tried or bool(np.isfinite(cand_loss))
-            if np.isfinite(cand_loss) and cand_loss <= cur_loss:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ynorm = math.sqrt(float(np.sum((cand_grad[0] - grad1) ** 2)
-                                            + np.sum((cand_grad[1] - grad2) ** 2)))
-                # ||s|| / ||y|| with ||s|| = lr * gnorm; lr stays when y is 0 or not finite
-                bb_step = lr * gnorm / ynorm if ynorm > 0 else math.nan
-                if 0 < bb_step < math.inf:
-                    lr = bb_step
-                enc, cur_loss, grad = cand, cand_loss, cand_grad
-                accepted = True
+            descent = bool(np.isfinite(cand_loss)) and cand_loss <= cur_loss
+            if descent or halvings >= 20:
                 break
-            if halvings >= 20:
-                break
-            lr *= 0.5
-            halvings += 1
-        if not accepted:
-            if steps == 0 and not finite_tried:
+            lr, halvings = lr * 0.5, halvings + 1
+        if not descent:
+            if not finite_tried:  # then no step was ever taken
                 raise NonFinite("step loss not finite for any step size at iteration 0")
             flags.append("step-budget-exhausted")
             break
-        steps += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            ynorm = math.sqrt(float(np.sum((cand_grad[0] - grad1) ** 2)
+                                    + np.sum((cand_grad[1] - grad2) ** 2)))
+        # ||s|| / ||y|| with ||s|| = lr * gnorm; lr stays when y is 0 or not finite
+        bb_step = lr * gnorm / ynorm if ynorm > 0 else math.nan
+        lr = bb_step if 0 < bb_step < math.inf else lr
+        enc, cur_loss, grad = cand, cand_loss, cand_grad
         trace.append(cur_loss)
-    return FitResult(enc=enc, product=enc.product, iterations=steps,
+    return FitResult(enc=enc, product=enc.product, iterations=len(trace) - 1,
                      final_loss=cur_loss, trace=trace, flags=tuple(flags))
 
 
@@ -326,7 +316,7 @@ def fit_sscl_baseline(
     if mode == "expected":
         s_mask = 0.25 * (second - np.diag(np.diag(second)))
     elif mode == "sampled":
-        if k_draws < 1:
+        if not linalg.is_count(k_draws) or k_draws < 1:
             raise InvalidInput(f"k_draws must be at least 1, got {k_draws}")
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 2, size=(k_draws, x.shape[1])).astype(np.float64)

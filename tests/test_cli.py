@@ -171,6 +171,14 @@ class TestFit:
         gs = storage.load_matrix(str(out_s / "g1.csv"))
         assert ge.shape == gs.shape == (2, 6)
 
+    def test_sscl_reads_x_of_any_kind(self, tmp_path, capsys):
+        ucfg = write_config(tmp_path, "u.json", {
+            "kind": "unpaired", "model": MODEL, "n": 20, "seed": 2})
+        assert main(["gen", "--config", ucfg, "--out", str(tmp_path / "u")]) == 0
+        assert main(["fit", "sscl", "--data", str(tmp_path / "u"),
+                     "--out", str(tmp_path / "fit"), "--r", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("method", ["linear", "gd", "approx", "sscl", "semi"])
     def test_outputs_do_not_depend_on_the_binary_twin(self, tmp_path, method):
         # matrices.npz spares the parse of x.csv and xt.csv; without it the
@@ -624,6 +632,25 @@ class TestMalformedInputs:
                                       "--out", str(tmp_path / "fit"), "--r", "1"])
         assert code == CONFIG_EXIT_CODE
         assert f"{path}" in err and fragment in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("unpaired", {"n": 20}),
+        ("labeled-bipartite", {"n_per_cluster": 10, "k": 2, "p_prime": 0.1})])
+    @pytest.mark.parametrize("method", ["linear", "gd", "approx", "semi"])
+    def test_fit_on_data_that_is_not_paired_exits_2(self, tmp_path, capsys, method, kind,
+                                                    fields):
+        # These methods read row i of x and of xt as a pair; an unpaired
+        # pool used to be fitted as if it were one, with exit 0.
+        cfg = write_config(tmp_path, "g.json", dict({"kind": kind, "model": MODEL}, **fields))
+        data = tmp_path / "data"
+        assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+        capsys.readouterr()
+        extra = ["--unpaired", str(data)] if method == "semi" else []
+        code, err = self.run(capsys, ["fit", method, "--data", str(data), *extra,
+                                      "--out", str(tmp_path / "fit"), "--r", "1"])
+        assert code == CONFIG_EXIT_CODE
+        assert str(data) in err and kind in err
         assert not (tmp_path / "fit").exists()
 
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -37,6 +37,12 @@ class TestRandomModel:
         assert np.all(m.sigma_xi == 0.0)
         assert m.noise_effective_ranks() == (0.0, 0.0)
 
+    @pytest.mark.parametrize("r", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_rank_is_invalid(self, r):
+        # random_model checks its rank by linalg's rule, as every fit does.
+        with pytest.raises(InvalidRank, match="rank must be an integer"):
+            datagen.random_model(6, 5, r)
+
     def test_validation(self):
         with pytest.raises(InvalidRank):
             datagen.random_model(4, 3, 4)

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mmcl import datagen, linalg, losses, solvers
+from mmcl import bsgmp, datagen, linalg, losses, solvers
 from mmcl.datagen import PairedDataset
-from mmcl.errors import DegenerateData, InvalidInput, InvalidRank, NonFinite
+from mmcl.errors import (ConfigurationError, DegenerateData, InvalidInput, InvalidRank,
+                         NonFinite)
 from mmcl.losses import EncoderPair, LossSpec
 
 from conftest import count_calls
@@ -150,11 +151,15 @@ class TestLinearClosedForm:
         lambda ds, r: solvers.fit_approx_infonce(
             ds, r, LossSpec.clip(tau=1.0), init=solvers.fit_linear_closed_form(ds, 2).enc),
         lambda ds, r: solvers.fit_semisupervised(ds, ds, r, LossSpec.clip(tau=1.0)),
-        lambda ds, r: solvers.fit_sscl_baseline(ds.x, r)],
-        ids=["linear", "approx", "semi", "sscl"])
+        lambda ds, r: solvers.fit_sscl_baseline(ds.x, r),
+        lambda ds, r: solvers.fit_gradient_descent(LossSpec.linear(), ds, r, max_iter=2),
+        lambda ds, r: solvers.fit_semisupervised(ds, ds, r, LossSpec.clip(tau=1.0),
+                                                 init_mode="infonce")],
+        ids=["linear", "approx", "semi", "sscl", "gd", "semi-infonce"])
     def test_non_integer_rank_is_invalid(self, fit, r):
         # 2.0 used to index the spectrum (IndexError) and True to compare an
-        # array in the gap test (ValueError).
+        # array in the gap test (ValueError); gradient descent raised a
+        # TypeError on 2.0 from its random initialization.
         ds = datagen.sample_paired(datagen.random_model(4, 3, 2, seed=0), 10, 0.0, seed=0)
         with pytest.raises(InvalidRank, match="rank must be an integer"):
             fit(ds, r)
@@ -204,7 +209,7 @@ class TestGradientDescent:
         spec = LossSpec.linear()
         with pytest.raises(InvalidInput, match="max_iter must be nonnegative"):
             solvers.fit_gradient_descent(spec, ds, 2, max_iter=-1)
-        with pytest.raises(InvalidRank, match="rank 6 not representable"):
+        with pytest.raises(InvalidRank, match=r"rank 6 not in \[1, 5\] for shape \(6, 5\)"):
             solvers.fit_gradient_descent(spec, ds, 6)
         with pytest.raises(InvalidInput, match="init encoders do not match"):
             solvers.fit_gradient_descent(spec, ds, 2,
@@ -768,3 +773,28 @@ class TestSsclBaseline:
             solvers.fit_sscl_baseline(x, 2, mode="bootstrap")
         with pytest.raises(InvalidInput):
             solvers.fit_sscl_baseline(x, 2, mode="sampled", k_draws=0)
+
+
+def _two_bicliques():
+    edges = np.array([(i, j) for i in range(3) for j in range(3)]
+                     + [(i, j) for i in range(3, 6) for j in range(3, 6)])
+    return bsgmp.BipartiteGraph(6, 6, edges)
+
+
+@pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call, message", [
+    (lambda ds, v: solvers.fit_gradient_descent(LossSpec.linear(), ds, 2, max_iter=v),
+     "max_iter must be nonnegative"),
+    (lambda ds, v: solvers.fit_sscl_baseline(ds.x, 2, mode="sampled", k_draws=v),
+     "k_draws must be at least 1"),
+    (lambda ds, v: bsgmp.kmeans(ds.x, 2, restarts=v), "restarts must be at least 1"),
+    (lambda ds, v: bsgmp.kmeans(ds.x, v), "cluster count must be a positive integer"),
+    (lambda ds, v: bsgmp.partition(_two_bicliques(), 2, restarts=v),
+     "restarts must be at least 1")],
+    ids=["gd-max_iter", "sscl-k_draws", "kmeans-restarts", "kmeans-k", "partition-restarts"])
+def test_count_arguments_must_be_integers(call, message, value):
+    # A float count, and True as sscl's k_draws or kmeans's k, used to raise a
+    # raw TypeError; True as max_iter or restarts was taken as a count of 1.
+    ds = datagen.sample_paired(datagen.random_model(6, 5, 2, seed=2), 10, 0.0, seed=3)
+    with pytest.raises(ConfigurationError, match=message):
+        call(ds, value)

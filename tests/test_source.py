@@ -143,6 +143,15 @@ def test_one_function_holds_the_rank_check_and_the_gap_rule():
     assert readers(linalg, "GAP_TOL") == {"truncated_svd"}
 
 
+def test_one_function_holds_the_rank_rule():
+    # Every rank checked against dimensions, in every fit and in mmcl gen, goes
+    # through linalg._check_rank; ModelParams keeps only its zero-column check.
+    read = {name: (SRC / f"{name}.py").read_text() for name in ("solvers", "linalg", "datagen")}
+    assert readers(read["solvers"], "InvalidRank") == set()
+    assert readers(read["linalg"], "InvalidRank") == {"_check_rank"}
+    assert readers(read["datagen"], "InvalidRank") == {"ModelParams"}
+
+
 def test_reader_scan_sees_nested_and_attribute_reads():
     text = ("_R = 1\ndef f():\n    def g():\n        return _R\n    return g\n"
             "class C:\n    x = m._R\ndef h():\n    _R = 2\n    return 0\n")
