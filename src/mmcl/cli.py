@@ -10,12 +10,11 @@ exits 2 when each failure was a configuration error, and 3 otherwise.
 import argparse
 import json
 import sys
-from functools import partial
 
 import numpy as np
 
 from . import bsgmp as bsgmp_mod
-from . import datagen, errors, harness, solvers, storage
+from . import datagen, errors, harness, linalg, solvers, storage
 from .errors import (
     CONFIG_EXIT_CODE,
     NUMERICAL_EXIT_CODE,
@@ -24,22 +23,23 @@ from .errors import (
     NumericalError,
 )
 from .losses import LossSpec, schedule_tau
-from .storage import float_option, int_option
+from .storage import choice, fraction, integer, number, read_section
 
 
-_N = partial(int_option, default=None, minimum=2, where="")
-_UNIT = partial(float_option, default=0.0, hi=1.0, lo_open=False, where="")
+_N = integer(minimum=2)
 
 # kind -> (sampler, {field: parser}); the sampler takes each field by name.
 GEN_KINDS = {
-    "paired": (datagen.sample_paired, {"n": _N, "p": _UNIT}),
+    "paired": (datagen.sample_paired, {"n": _N, "p": fraction()}),
     "unpaired": (datagen.sample_unpaired, {"n": _N}),
     "labeled-bipartite": (datagen.sample_labeled_bipartite, {
-        "n_per_cluster": partial(int_option, default=None, where=""),
-        "k": partial(int_option, default=None, minimum=2, where=""),
-        "p_prime": _UNIT,
-        "within_scale": partial(float_option, default=0.5, lo_open=False, where="")}),
+        "n_per_cluster": integer(), "k": integer(minimum=2), "p_prime": fraction(),
+        "within_scale": number(0.5, lo_open=False)}),
 }
+_KIND = {"kind": choice(storage.DATASET_KINDS)}
+_GEN_FIELDS = {"out": lambda obj, name, label: obj.get(name),
+               "model": lambda obj, name, label: harness.model_from_config(obj.get(name, {})),
+               "seed": integer(0, minimum=0)}
 
 # How numpy refuses, before it allocates, an array whose size overflows np.intp.
 _UNSIZABLE = ("Maximum allowed", "array is too big", "Python int too large")
@@ -47,22 +47,14 @@ _UNSIZABLE = ("Maximum allowed", "array is too big", "Python int too large")
 
 def _cmd_gen(args) -> int:
     cfg = storage.load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise InvalidInput("gen config must be a JSON object")
-    kind = cfg.get("kind")
-    if kind not in storage.DATASET_KINDS:
-        raise InvalidInput(f"kind: must be one of {storage.DATASET_KINDS}, got {kind!r}")
+    kind = read_section(cfg, _KIND, strict=False)["kind"]
     sampler, fields = GEN_KINDS[kind]
-    unknown = set(cfg) - {"kind", "out", "model", "seed", *fields}
-    if unknown:
-        raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
-    out = args.out or cfg.get("out")
+    gen = read_section(cfg, {**_KIND, **_GEN_FIELDS, **fields})
+    out = args.out or gen["out"]
     if not out or not isinstance(out, str):
         raise InvalidInput("an output directory is required (--out or config 'out')")
-    model = harness.model_from_config(cfg.get("model", {}))
-    seed = int_option(cfg, "seed", 0, minimum=0, where="")
-    ds = sampler(model, seed=seed, **{name: parse(cfg, name) for name, parse in fields.items()})
-    storage.save_dataset(out, ds, model)
+    ds = sampler(gen["model"], **{name: gen[name] for name in ("seed", *fields)})
+    storage.save_dataset(out, ds, gen["model"])
     print(f"wrote {kind} dataset ({ds.x.shape[0]} x {ds.x.shape[1]} / "
           f"{ds.xt.shape[0]} x {ds.xt.shape[1]}) to {out}")
     return 0
@@ -90,6 +82,7 @@ def _cmd_fit(args) -> int:
         fit = solvers.fit_approx_infonce(ds, args.r, spec)
     elif args.method == "semi":
         pool = storage.load_dataset(args.unpaired)
+        linalg._check_rank(args.r, (ds.x.shape[1], ds.xt.shape[1]))  # before --tau auto reads it
         if args.tau == "auto":
             args.tau = schedule_tau(args.r, pool.x.shape[0])
         spec = _spec_from_args(args, "log", "exp", "n")
@@ -129,13 +122,11 @@ def _cmd_exp(args) -> int:
     with open(args.config, "rb") as fh:
         raw = fh.read()
     obj = json.loads(raw.decode("utf-8"))
-    if not isinstance(obj, dict):
-        raise InvalidInput("experiment config must be a JSON object")
-    named = obj.get("experiment")
-    if named is not None and named != args.name:
+    named = read_section(obj, {"experiment": lambda o, name, label: o.get(name)},
+                         strict=False)["experiment"]
+    if named not in (None, args.name):
         raise InvalidInput(f"config names experiment {named!r} but {args.name!r} was requested")
-    obj["experiment"] = args.name
-    cfg = harness.ExperimentConfig.from_json(obj)
+    cfg = harness.ExperimentConfig.from_json(dict(obj, experiment=args.name))
     rows = harness.run_experiment(cfg, out_dir=args.out, config_bytes=raw)
     failed = [row.flags[len("failed:"):] for row in rows if row.flags.startswith("failed:")]
     note = f" ({len(failed)} failed)" if failed else ""

@@ -219,7 +219,7 @@ def _matched(params: ModelParams, rng: np.random.Generator, truth: np.ndarray,
 
 
 def _check_count(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not linalg.is_count(n) or n < 2:
         raise InvalidInput(f"need at least 2 samples, got {n!r}")
     if n > np.iinfo(np.intp).max // 8:  # np.arange(n) has no rows near 2**63, and no error
         raise MemoryError(f"an index array of {n} samples exceeds the address space")
@@ -307,9 +307,9 @@ def sample_labeled_bipartite(
     in, e.g. to draw a matching test set); members scatter around their
     center with standard deviation within_scale per coordinate.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
+    if not linalg.is_count(k) or k < 2:
         raise InvalidInput(f"need at least 2 clusters, got {k!r}")
-    if not isinstance(n_per_cluster, (int, np.integer)) or n_per_cluster < 1:
+    if not linalg.is_count(n_per_cluster) or n_per_cluster < 1:
         raise InvalidInput(f"need at least 1 sample per cluster, got {n_per_cluster!r}")
     if not (0.0 <= p_prime <= 1.0):
         raise InvalidProbability(f"edge corruption must be in [0, 1], got {p_prime}")

@@ -25,7 +25,7 @@ from . import datagen, linalg, solvers, storage
 from .errors import InvalidInput, MmclError, DegenerateData
 from .losses import (EncoderPair, LossSpec, loss_value, loss_gradient, schedule_tau,
                      similarity_matrix)
-from .storage import float_option, int_option
+from .storage import checked, choice, fraction, grid, integer, number
 
 METRIC_NAMES = (
     "sin_theta_g1",
@@ -114,32 +114,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise InvalidInput("config must be a JSON object")
-        unknown = set(obj) - {"experiment", "model", "seeds", "sweep", "options", "output_dir"}
-        if unknown:
-            raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
-        exp = obj.get("experiment")
-        if exp not in EXPERIMENTS:
-            raise InvalidInput(f"experiment: must be one of {EXPERIMENTS}, got {exp!r}")
-        model = obj.get("model")
-        if not isinstance(model, dict):
-            raise InvalidInput("model: must be an object")
-        seeds = obj.get("seeds")
-        if (not isinstance(seeds, list) or not seeds or not all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
-            raise InvalidInput("seeds: must be a nonempty list of nonnegative integers")
-        sweep = obj.get("sweep")
-        if not isinstance(sweep, dict):
-            raise InvalidInput("sweep: must be an object")
-        options = obj.get("options", {})
-        if not isinstance(options, dict):
-            raise InvalidInput("options: must be an object")
-        out = obj.get("output_dir")
-        if out is not None and not isinstance(out, str):
-            raise InvalidInput("output_dir: must be a string")
-        return cls(experiment=exp, model=model, seeds=tuple(seeds),
-                   sweep=sweep, options=options, output_dir=out)
+        cfg = storage.read_section(obj, CONFIG_FIELDS)
+        return cls(seeds=tuple(cfg.pop("seeds")), **cfg)
 
     def canonical(self) -> dict:
         """Semantic content of the config (output location excluded)."""
@@ -152,32 +128,19 @@ class ExperimentConfig:
         }
 
 
+def _snr(obj, name, label):
+    """A signal-to-noise ratio; "inf" or Infinity gives the noiseless model."""
+    return np.inf if obj.get(name, "inf") in ("inf", np.inf) else number()(obj, name, label)
+
+
+MODEL_FIELDS = {"d1": integer(), "d2": integer(), "r": integer(), "snr": _snr,
+                "decay": number(1.0, hi=1.0), "family": choice(datagen.NOISE_FAMILIES, "gaussian"),
+                "seed": integer(0, minimum=0)}
+
+
 def model_from_config(mc: dict) -> datagen.ModelParams:
     """Build ModelParams from a config model section."""
-    if not isinstance(mc, dict):
-        raise InvalidInput("model: must be an object")
-    d1, d2, r = (int_option(mc, key, None, where="model.") for key in ("d1", "d2", "r"))
-    snr = mc.get("snr", "inf")
-    snr = np.inf if snr in ("inf", np.inf) else float_option(mc, "snr", None, where="model.")
-    decay = float_option(mc, "decay", 1.0, hi=1.0, where="model.")
-    family = mc.get("family", "gaussian")
-    seed = int_option(mc, "seed", 0, minimum=0, where="model.")
-    unknown = set(mc) - {"d1", "d2", "r", "snr", "decay", "family", "seed"}
-    if unknown:
-        raise InvalidInput(f"model: unknown fields {sorted(unknown)}")
-    return datagen.random_model(d1, d2, r, snr=snr, decay=decay,
-                                family=family, seed=seed)
-
-
-def _grid(parse, **bounds):
-    """Parser of a sweep list: nonempty, each item checked by parse
-    (int_option or float_option) with the given bounds."""
-    def grid(sweep: dict, path: str) -> list:
-        vals = sweep.get(path.split(".")[-1])
-        if not isinstance(vals, list) or not vals:
-            raise InvalidInput(f"{path}: must be a nonempty list")
-        return [parse({path: v}, path, None, where="", **bounds) for v in vals]
-    return grid
+    return datagen.random_model(**storage.read_section(mc, MODEL_FIELDS, "model."))
 
 
 def _subspace_errors(enc: EncoderPair, model: datagen.ModelParams, one_sided: bool = False):
@@ -240,7 +203,7 @@ def _bsgmp_trial(model, opts, k, p_prime, seed):
     if pairs.shape[0] < 2:
         raise DegenerateData("fewer than 2 sampled pairs")
     pair_data = SimpleNamespace(x=train.x[pairs[:, 0]], xt=train.xt[pairs[:, 1]])
-    fit = solvers.fit_linear_closed_form(pair_data, opts["fit_rank"], opts["rho"])
+    fit = solvers.fit_linear_closed_form(pair_data, opts["fit_rank"] or model.r, opts["rho"])
     acc = downstream_accuracy(fit.enc, test)
     prec, rec = edge_metrics(kept, np.argwhere(train.labels_x[:, None] == train.labels_xt))
     flags.extend(fit.flags)
@@ -331,56 +294,25 @@ def _sscl_trial(model, opts, n, method, seed):
     return {"sin_theta_g1": s1, "sin_theta_g2": s2, **metrics, "_flags": ";".join(fit.flags)}
 
 
-def _k_value(opts, name, default, where, minimum):
-    """A cluster count, as a string, or 'none' for no partitioning."""
-    val = opts[name]
-    return val if val == "none" else str(int_option(opts, name, default, minimum, where))
+_N_GRID = grid(integer(minimum=2))
+_UNIT_GRID = grid(fraction())
 
 
-_N_GRID = _grid(int_option, minimum=2)
-_UNIT_GRID = _grid(float_option, lo=0.0, hi=1.0, lo_open=False)
-
-
-def _int(default, minimum=1):
-    return lambda opts, name, model: int_option(opts, name, default, minimum)
-
-
-def _float(default, **bounds):
-    return lambda opts, name, model: float_option(opts, name, default, **bounds)
-
-
-def _tau(opts, name, model):
+def _tau(opts, name, label):
     if opts.get(name, "auto") == "auto":
         return "auto"
     if "tau_scale" in opts:
-        raise InvalidInput(f"options.{name}: tau_scale needs tau 'auto', got {opts[name]!r}")
-    return float_option(opts, name, 1.0)
-
-
-def _init(opts, name, model):
-    val = opts.get(name, "linear")
-    if val not in ("linear", "infonce"):
-        raise InvalidInput(f"options.{name}: must be 'linear' or 'infonce', got {val!r}")
-    return val
-
-
-def _losses(opts, name, model):
-    names = opts.get(name, list(GRADCHECK_SPECS))
-    if not isinstance(names, list) or not names or not all(
-            isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in names) or len(
-            set(names)) < len(names):
-        raise InvalidInput(f"options.{name}: must be a nonempty list of distinct names "
-                           f"from {sorted(GRADCHECK_SPECS)}")
-    return names
+        raise InvalidInput(f"{label}: tau_scale needs tau 'auto', got {opts[name]!r}")
+    return number(1.0)(opts, name, label)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: trial(model, opts, **params) -> metrics; parsers
-    for each sweep key, (sweep, path) -> values, and each option, (options,
-    name, model) -> value; axes (param, source), outermost first, where a
-    source is a sweep key, an option, "seeds" or a tuple of values; and
-    prepare(model, opts, model section) -> model, run once per sweep."""
+    """One experiment: trial(model, opts, **params) -> metrics; a parser
+    (storage.read_section's) of each sweep key and of each option; axes
+    (param, source), outermost first, where a source is a sweep key, an
+    option, "seeds" or a tuple of values; and prepare(model, opts, model
+    section) -> model, run once per sweep."""
 
     trial: Callable
     sweep: dict
@@ -393,33 +325,42 @@ TRIAL_TABLE = {
     "distortion": Experiment(
         _distortion_trial,
         sweep={"n_grid": _N_GRID, "p_grid": _UNIT_GRID},
-        options={"rho": _float(1.0)},
+        options={"rho": number(1.0)},
         axes=(("n", "n_grid"), ("p", "p_grid"), ("seed", "seeds"))),
     "unpaired": Experiment(
         _unpaired_trial,
-        sweep={"n_grid": _N_GRID, "ratio_grid": _grid(int_option, minimum=1)},
-        options={"nu": _float(2.0, lo=1.0, lo_open=False), "rho": _float(1.0), "tau": _tau,
-                 "tau_scale": _float(1.0), "init": _init},
+        sweep={"n_grid": _N_GRID, "ratio_grid": grid(integer())},
+        options={"nu": number(2.0, lo=1.0, lo_open=False), "rho": number(1.0), "tau": _tau,
+                 "tau_scale": number(1.0), "init": choice(("linear", "infonce"), "linear")},
         axes=(("n", "n_grid"), ("ratio", "ratio_grid"), ("seed", "seeds"))),
     "bsgmp": Experiment(
         _bsgmp_trial,
-        sweep={"k_grid": _grid(_k_value, minimum=2), "p_prime_grid": _UNIT_GRID},
-        options={"k_true": _int(10, minimum=2), "n_per_cluster": _int(50),
-                 "n_test_per_cluster": _int(20), "restarts": _int(10), "rho": _float(1.0),
-                 "fit_rank": lambda opts, name, model: int_option(opts, name, model.r),
-                 "within_scale": _float(0.5, lo_open=False)},
+        # every k, "none" or a count, is a string, so a grid's rows share one type
+        sweep={"k_grid": grid(lambda o, name, label: "none" if o[name] == "none"
+                              else str(integer(minimum=2)(o, name, label))),
+               "p_prime_grid": _UNIT_GRID},
+        options={"k_true": integer(10, minimum=2), "n_per_cluster": integer(50),
+                 "n_test_per_cluster": integer(20), "restarts": integer(10), "rho": number(1.0),
+                 # absent, None: the trial fits at the model's rank
+                 "fit_rank": lambda o, name, label: (integer()(o, name, label) if name in o
+                                                     else None),
+                 "within_scale": number(0.5, lo_open=False)},
         axes=(("k", "k_grid"), ("p_prime", "p_prime_grid"), ("seed", "seeds"))),
     "gradcheck": Experiment(
         _gradcheck_trial,
         sweep={"n_grid": _N_GRID},
-        options={"h": _float(1e-5), "enc_rank": _int(2), "losses": _losses},
+        options={"h": number(1e-5), "enc_rank": integer(2), "losses": checked(
+            lambda v: isinstance(v, list) and len(v) > 0 and all(
+                isinstance(nm, str) and nm in GRADCHECK_SPECS for nm in v)
+            and len(set(v)) == len(v),
+            f"a nonempty list of distinct names from {sorted(GRADCHECK_SPECS)}",
+            list(GRADCHECK_SPECS))},
         axes=(("n", "n_grid"), ("loss", "losses"), ("seed", "seeds"))),
     "sscl-compare": Experiment(
         _sscl_trial,
         sweep={"n_grid": _N_GRID},
-        options={"p": _float(0.2, hi=1.0, lo_open=False), "rho": _float(1.0),
-                 "k_draws": _int(2000), "noise_spikes": _int(0, minimum=0),
-                 "noise_spike_scale": _float(1.0)},
+        options={"p": fraction(0.2), "rho": number(1.0), "k_draws": integer(2000),
+                 "noise_spikes": integer(0, minimum=0), "noise_spike_scale": number(1.0)},
         axes=(("n", "n_grid"), ("seed", "seeds"), ("method", ("mmcl", "sscl", "sscl-mc"))),
         prepare=_add_noise_spikes),
 }
@@ -427,17 +368,27 @@ TRIAL_TABLE = {
 EXPERIMENTS = tuple(TRIAL_TABLE)
 
 
+def _section(default=None):
+    """Parser of a config section, checked to be an object and kept as given:
+    run_experiment reads its fields."""
+    def parse(obj, name, label):
+        storage.read_section(obj.get(name, default), {}, f"{label}.", strict=False)
+        return obj.get(name, default)
+    return parse
+
+
+CONFIG_FIELDS = {"experiment": choice(EXPERIMENTS), "model": _section(),
+                 "seeds": grid(integer(minimum=0)), "sweep": _section(),
+                 "options": _section({}),
+                 "output_dir": checked(lambda v: v is None or isinstance(v, str), "a string")}
+
+
 def _trials(cfg: ExperimentConfig, model: datagen.ModelParams):
     """(params, trial) for every sweep point and seed; every sweep key and
     option is checked and parsed before any trial runs."""
     table = TRIAL_TABLE[cfg.experiment]
-    for section, given, schema in (("sweep", cfg.sweep, table.sweep),
-                                   ("options", cfg.options, table.options)):
-        unknown = set(given) - set(schema)
-        if unknown:
-            raise InvalidInput(f"{section}: unknown fields {sorted(unknown)}")
-    values = {key: parse(cfg.sweep, f"sweep.{key}") for key, parse in table.sweep.items()}
-    opts = {name: parse(cfg.options, name, model) for name, parse in table.options.items()}
+    values = storage.read_section(cfg.sweep, table.sweep, "sweep.")
+    opts = storage.read_section(cfg.options, table.options, "options.")
     values.update(opts, seeds=cfg.seeds)
     if table.prepare is not None:
         model = table.prepare(model, opts, cfg.model)

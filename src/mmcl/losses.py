@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_2d, as_matrix, require_finite
-from .errors import InvalidInput, NonFinite
+from .linalg import as_2d, as_matrix, is_count, require_finite
+from .errors import InvalidInput, InvalidRank, NonFinite
 
 PHI_NAMES = ("identity", "log", "log1p")
 PSI_NAMES = ("identity", "exp")
@@ -124,6 +124,8 @@ def c_n_value(rule: str, n: int) -> float:
 
 def schedule_tau(r: int, n_unpaired: int, scale: float = 1.0) -> float:
     """Temperature scale / 2 * sqrt(r / log n) for an unpaired pool."""
+    if not is_count(r):
+        raise InvalidRank(f"rank must be an integer, got {r!r}")
     if r < 1:
         raise InvalidInput(f"rank must be at least 1, got {r}")
     if n_unpaired < 2:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import datagen
+from . import datagen, linalg
 from .errors import InvalidInput
 from .losses import LossSpec
 
@@ -21,27 +21,64 @@ DATASET_KINDS = ("paired", "unpaired", "labeled-bipartite")
 TWIN_NAME = "matrices.npz"  # a dataset's x.csv and xt.csv, keyed by their SHA-1
 
 
-def int_option(opts: dict, name: str, default: int, minimum: int = 1,
-               where: str = "options.") -> int:
-    val = opts.get(name, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise InvalidInput(f"{where}{name}: must be an integer >= {minimum}, got {val!r}")
-    return val
+def read_section(obj, fields: dict, where: str = "", strict: bool = True) -> dict:
+    """{name: parse(obj, name, label)} for each parser in fields, once obj is
+    known to be a JSON object with no key that fields does not name (any keys
+    when not strict). where prefixes each label: "" at a config's top level,
+    "model." in its model section, "<file>: " in a file."""
+    section = where.rstrip(".: ") or "config"
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{section}: must be a JSON object")
+    unknown = sorted(set(obj) - set(fields)) if strict else []
+    if unknown:
+        raise InvalidInput(f"{section}: unknown fields {unknown}" if where
+                           else f"unknown config fields: {unknown}")
+    return {name: parse(obj, name, where + name) for name, parse in fields.items()}
 
 
-def float_option(opts: dict, name: str, default: float, lo: float = 0.0,
-                 hi: float = np.inf, lo_open: bool = True,
-                 where: str = "options.") -> float:
-    """A finite number from opts in the range (lo, hi], or [lo, hi] when not lo_open."""
-    val = opts.get(name, default)
-    num = np.nan  # fails every comparison below
-    if (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max):
-        num = float(val)
-    if not ((lo < num if lo_open else lo <= num) and num <= hi):
-        above = f"{'>' if lo_open else '>='} {lo}" + (f" and <= {hi}" if hi < np.inf else "")
-        raise InvalidInput(f"{where}{name}: must be a finite number {above}, got {val!r}")
-    return num
+def checked(ok, want: str, default=None):
+    """Parser of a field whose value (default when absent) must pass ok; want
+    describes a value that passes ("an integer >= 1") for the error."""
+    def parse(obj, name, label):
+        val = obj.get(name, default)
+        if not ok(val):
+            raise InvalidInput(f"{label}: must be {want}, got {val!r}")
+        return val
+    return parse
+
+
+def integer(default=None, minimum: int = 1):
+    """Parser of an integer field (linalg.is_count) of at least minimum."""
+    return checked(lambda v: linalg.is_count(v) and v >= minimum, f"an integer >= {minimum}",
+                   default)
+
+
+def number(default=None, lo: float = 0.0, hi: float = np.inf, lo_open: bool = True):
+    """Parser of a finite number field in (lo, hi], or [lo, hi] when not lo_open,
+    given back as a float."""
+    above = f"{'>' if lo_open else '>='} {lo}" + (f" and <= {hi}" if hi < np.inf else "")
+    parse = checked(lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                               and abs(v) <= sys.float_info.max and v <= hi
+                               and (lo < v if lo_open else lo <= v)),
+                    f"a finite number {above}", default)
+    return lambda obj, name, label: float(parse(obj, name, label))
+
+
+def fraction(default=0.0):
+    """Parser of a number field in [0, 1]."""
+    return number(default, hi=1.0, lo_open=False)
+
+
+def choice(options: tuple, default=None):
+    """Parser of a field that must equal one of options."""
+    return checked(lambda v: v in options, f"one of {options}", default)
+
+
+def grid(item):
+    """Parser of a nonempty list field, each entry read by the parser item."""
+    nonempty = checked(lambda v: isinstance(v, list) and len(v) > 0, "a nonempty list")
+    return lambda obj, name, label: [item({name: v}, name, label)
+                                     for v in nonempty(obj, name, label)]
 
 
 def format_cell(v) -> str:
@@ -321,22 +358,20 @@ def load_dataset(path: str):
     field, a matrix of the wrong shape, or a malformed edge or label file
     raises InvalidInput naming the file."""
     meta_path = os.path.join(path, "meta.json")
-    meta = load_json(meta_path)
-    if not isinstance(meta, dict):
-        raise InvalidInput(f"{meta_path}: must be a JSON object")
-    kind = meta.get("kind", "paired")
+    meta, where = load_json(meta_path), f"{meta_path}: "
+    kind = read_section(meta, {"kind": lambda obj, name, label: obj.get(name, "paired")},
+                        where, strict=False)["kind"]
     if kind not in DATASET_KINDS:
         raise InvalidInput(f"{meta_path}: kind must be one of {DATASET_KINDS}, got {kind!r}")
-    p_n = float_option(meta, "p_n", 1.0 if kind == "unpaired" else 0.0, hi=1.0,
-                       lo_open=False, where=f"{meta_path}: ")
-    n, d1, d2 = (int_option(meta, key, None, where=f"{meta_path}: ") for key in ("n", "d1", "d2"))
+    p_n, n, d1, d2 = read_section(meta, {
+        "p_n": fraction(1.0 if kind == "unpaired" else 0.0), "n": integer(), "d1": integer(),
+        "d2": integer()}, where, strict=False).values()
     x, xt = _load_matrices(path, {
         "x.csv": (n, d1), "xt.csv": (None if kind == "labeled-bipartite" else n, d2)})
-    edge_path = os.path.join(path, "edges.csv")
-    rows = _read_ints(edge_path, 3, (x.shape[0], xt.shape[0]))
+    rows = _read_ints(os.path.join(path, "edges.csv"), 3, (x.shape[0], xt.shape[0]))
     edges = np.ascontiguousarray(rows[:, :2])
     if kind == "labeled-bipartite":
-        k = int_option(meta, "k", None, where=f"{meta_path}: ")
+        k = integer()(meta, "k", f"{where}k")
         labels_x = _read_labels(os.path.join(path, "labels_left.csv"), x.shape[0], k)
         labels_xt = _read_labels(os.path.join(path, "labels_right.csv"), xt.shape[0], k)
         return datagen.LabeledBipartite(

@@ -220,6 +220,17 @@ class TestFit:
         assert main(["fit", "linear", "--data", data,
                      "--out", str(tmp_path / "fit"), "--r", "99"]) == CONFIG_EXIT_CODE
 
+    @pytest.mark.parametrize("r", ["0", "-1", "9"])
+    def test_semi_rank_follows_the_rank_rule(self, tmp_path, capsys, r):
+        # The automatic temperature used to reject 0 and -1 by a rule of its own.
+        data = gen_paired(tmp_path, n=10)
+        pool = gen_paired(tmp_path, n=10, subdir="pool")
+        code = main(["fit", "semi", "--data", data, "--unpaired", pool,
+                     "--out", str(tmp_path / "fit"), "--r", r])
+        assert code == CONFIG_EXIT_CODE
+        assert capsys.readouterr().err == f"error: rank {r} not in [1, 5] for shape (6, 5)\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_data_directory_exits_2(self, tmp_path):
         assert main(["fit", "linear", "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "fit"), "--r", "2"]) == CONFIG_EXIT_CODE
@@ -400,6 +411,7 @@ class TestMalformedInputs:
          "within_scale"),
         ("paired", {"n": 10, "model": "m"}, "model"),
         ("paired", {"n": 10, "model": dict(MODEL, r=True)}, "model.r"),
+        ("paired", {"n": 10, "model": dict(MODEL, family="laplace")}, "model.family"),
         ("paired", {"n": 10, "pp": 0.5}, "unknown config fields"),
         ("unpaired", {"n": 10, "seeds": [1, 2]}, "unknown config fields"),
         ("labeled-bipartite", {"n_per_cluster": 5, "k": 2, "n": 10}, "unknown config fields"),
@@ -420,6 +432,35 @@ class TestMalformedInputs:
         code, err = self.run(capsys, ["gen", "--config", cfg, "--out", str(out)])
         assert code == CONFIG_EXIT_CODE
         assert err == "error: unknown config fields: ['pp', 'sed']\n"
+        assert not out.exists()
+
+    SECTIONS = {  # section -> (config command, JSON path to the section)
+        "config": ("exp", ()), "model": ("exp", ("model",)), "sweep": ("exp", ("sweep",)),
+        "options": ("exp", ("options",)), "gen config": ("gen", ())}
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("fault", ["not an object", "unknown key"])
+    def test_malformed_section_exits_2_with_one_message_form(self, tmp_path, capsys,
+                                                             section, fault):
+        command, path = self.SECTIONS[section]
+        obj = ({"kind": "paired", "model": dict(MODEL), "n": 10} if command == "gen" else
+               {"model": dict(MODEL), "seeds": [0], "sweep": {"n_grid": [4]}, "options": {}})
+        if fault == "not an object" and not path:
+            obj = [obj]
+        elif fault == "not an object":
+            obj[path[0]] = [1]
+        else:
+            (obj[path[0]] if path else obj)["bogus"] = 1
+        cfg = write_config(tmp_path, "c.json", obj)
+        out = tmp_path / "out"
+        argv = [command, *(["gradcheck"] if command == "exp" else []),
+                "--config", cfg, "--out", str(out)]
+        name = path[0] if path else "config"
+        want = {"not an object": f"{name}: must be a JSON object",
+                "unknown key": f"{name}: unknown fields ['bogus']" if path
+                else "unknown config fields: ['bogus']"}[fault]
+        code, err = self.run(capsys, argv)
+        assert (code, err) == (CONFIG_EXIT_CODE, f"error: {want}\n")
         assert not out.exists()
 
     def test_unknown_option_exits_2(self, tmp_path, capsys):

@@ -254,6 +254,19 @@ class TestSampleLabeledBipartite:
         with pytest.raises(InvalidProbability):
             datagen.sample_labeled_bipartite(m, 4, 3, 1.5)
 
+    @pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+    def test_counts_are_integers(self, count):
+        # True used to pass as one sample per cluster, a 2-row dataset.
+        m = datagen.random_model(6, 6, 2, seed=0)
+        with pytest.raises(InvalidInput, match="need at least 1 sample per cluster"):
+            datagen.sample_labeled_bipartite(m, count, 2, 0.0)
+        with pytest.raises(InvalidInput, match="need at least 2 clusters"):
+            datagen.sample_labeled_bipartite(m, 4, count, 0.0)
+        with pytest.raises(InvalidInput, match="need at least 2 samples"):
+            datagen.sample_paired(m, count, 0.0)
+        with pytest.raises(InvalidInput, match="need at least 2 samples"):
+            datagen.sample_unpaired(m, count)
+
     @pytest.mark.parametrize("p_prime", [0.0, 0.3, 1.0])
     def test_edge_draw_matches_dense_formula(self, monkeypatch, p_prime):
         # 150 nodes span two full row blocks and a ragged one. The dense formula

@@ -293,6 +293,7 @@ class TestModelFromConfig:
         ({"decay": 0.0}, "model.decay"),
         ({"decay": 1.5}, "model.decay"),
         ({"seed": -1}, "model.seed"),
+        ({"family": "laplace"}, "model.family"),
         ({"extra_knob": 1}, "extra_knob"),
     ])
     def test_bad_fields_name_the_field(self, patch, fragment):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmcl import datagen, losses, solvers
-from mmcl.errors import InvalidInput, NonFinite
+from mmcl.errors import InvalidInput, InvalidRank, NonFinite
 from mmcl.losses import EncoderPair, LossSpec
 
 from oracle import (ContrastiveWeights, _anchored, compute_weights, dense_contrast,
@@ -163,6 +163,11 @@ class TestNormalizerAndSchedule:
             losses.schedule_tau(0, 400)
         with pytest.raises(InvalidInput):
             losses.schedule_tau(4, 1)
+
+    @pytest.mark.parametrize("r", [2.5, True], ids=["float", "bool"])
+    def test_schedule_tau_takes_an_integer_rank(self, r):
+        with pytest.raises(InvalidRank, match="rank must be an integer"):
+            losses.schedule_tau(r, 100)
 
 
 class TestEncoderPair:

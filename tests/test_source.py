@@ -146,10 +146,47 @@ def test_one_function_holds_the_rank_check_and_the_gap_rule():
 def test_one_function_holds_the_rank_rule():
     # Every rank checked against dimensions, in every fit and in mmcl gen, goes
     # through linalg._check_rank; ModelParams keeps only its zero-column check.
-    read = {name: (SRC / f"{name}.py").read_text() for name in ("solvers", "linalg", "datagen")}
+    # losses.schedule_tau has no shape to check against: it refuses only a
+    # rank that is not an integer.
+    read = {name: (SRC / f"{name}.py").read_text()
+            for name in ("solvers", "linalg", "datagen", "losses")}
     assert readers(read["solvers"], "InvalidRank") == set()
     assert readers(read["linalg"], "InvalidRank") == {"_check_rank"}
     assert readers(read["datagen"], "InvalidRank") == {"ModelParams"}
+    assert readers(read["losses"], "InvalidRank") == {"schedule_tau"}
+
+
+def message_builders(text: str, pattern: str) -> set[str]:
+    """The top-level definitions of a module with a string literal that matches
+    pattern; an f-string's replacement fields read as "<"."""
+    def literals(stmt):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.JoinedStr):
+                yield "".join(v.value if isinstance(v, ast.Constant) else "<"
+                              for v in node.values)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+    return {stmt.name for stmt in ast.parse(text).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and any(re.search(pattern, lit) for lit in literals(stmt))}
+
+
+def test_one_function_reads_every_config_section():
+    # Every JSON config section is checked for an object and for unknown keys
+    # by storage.read_section, and read with storage's parsers.
+    found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+             for name in message_builders(path.read_text(), r"unknown.*fields")}
+    assert found == {"storage.read_section"}
+    for module in ("harness", "cli"):
+        text = (SRC / f"{module}.py").read_text()
+        assert readers(text, "int_option") == readers(text, "float_option") == set()
+
+
+def test_message_scan_reads_literals_and_fstring_parts():
+    text = ("def f(u):\n    raise E(f'unknown {u} fields')\n"
+            "def g():\n    return 'known fields'\nclass C:\n    m = 'unknown config fields'\n")
+    assert message_builders(text, r"unknown.*fields") == {"f", "C"}
 
 
 def test_reader_scan_sees_nested_and_attribute_reads():
